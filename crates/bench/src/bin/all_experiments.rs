@@ -419,7 +419,7 @@ fn main() {
          of all of them. `cargo bench --bench solver_eval` prints the measured\n\
          full-vs-incremental solve-loop speedup.\n\n\
          Simulator engine: every experiment drives the event-driven\n\
-         `cast_sim::engine::Engine` (incremental share rates + completion heap;\n\
+         engine behind `cast_sim::Sim` (incremental share rates + completion heap;\n\
          see DESIGN.md \"Engine performance\"). The pre-overhaul stepper is kept\n\
          compiled behind the default-on `reference-engine` feature purely as an\n\
          equivalence oracle — `cargo test -p cast-sim --test engine_equivalence`\n\

@@ -40,9 +40,8 @@ use cast_cloud::tier::{PerTier, Tier};
 use cast_cloud::units::{DataSize, Duration};
 use cast_cloud::Catalog;
 use cast_sim::config::SimConfig;
-use cast_sim::engine::Engine;
 use cast_sim::placement::JobPlacement;
-use cast_sim::{pick_winner, prepare_runs, score_cold, score_forked, CandidateOverride};
+use cast_sim::{pick_winner, prepare_runs, score_cold, score_forked, CandidateOverride, Sim};
 use cast_solver::{AnnealConfig, Annealer, EvalContext, TieringPlan, WarmStart};
 use cast_workload::arrival::{assemble_spec, generate, ArrivalConfig, ArrivalProcess};
 use cast_workload::{AppKind, DriftConfig, WorkloadSpec};
@@ -278,13 +277,20 @@ fn bench_whatif(e: &Epochs, reps: usize) -> WhatifSection {
     let runs = prepare_runs(&e.spec_live, &placements, &[], &cfg).expect("lowering");
     let candidates = candidate_slates(&e.spec_live);
 
-    let probe = Engine::new(&cfg, runs.clone()).run().expect("probe run");
+    let probe = Sim::builder(&cfg)
+        .runs(runs.clone())
+        .build()
+        .and_then(Sim::run)
+        .expect("probe run");
     let horizon = probe.makespan.secs() * FORK_FRACTION;
 
     // Pin fork equivalence once, off the clock: the acceptance speedup
     // only counts if both backends commit the same decision.
     let cold_reports = score_cold(&cfg, &runs, &candidates, horizon, WORKERS).expect("cold");
-    let mut live = Engine::new(&cfg, runs.clone());
+    let mut live = Sim::builder(&cfg)
+        .runs(runs.clone())
+        .build()
+        .expect("lowered runs");
     live.run_until(horizon).expect("prefix");
     let fork_reports = score_forked(&live.snapshot(), &candidates, WORKERS).expect("fork");
     assert_eq!(

@@ -33,12 +33,12 @@ use cast_cloud::tier::{PerTier, Tier};
 use cast_cloud::units::DataSize;
 use cast_cloud::Catalog;
 use cast_sim::config::SimConfig;
-use cast_sim::engine::{Engine, EngineScratch};
 use cast_sim::par;
 use cast_sim::placement::PlacementMap;
 use cast_sim::prepare_runs;
 #[cfg(feature = "reference-engine")]
 use cast_sim::reference::ReferenceEngine;
+use cast_sim::{EngineScratch, Sim};
 use cast_workload::dataset::DatasetId;
 use cast_workload::job::JobId;
 use cast_workload::spec::WorkloadSpec;
@@ -164,8 +164,11 @@ fn run_scenario(nvm: usize, jobs: usize) -> Scenario {
     let mut scratch = EngineScratch::new();
     for rep in 0..=REPS {
         let t0 = Instant::now();
-        let (_, stats) = Engine::with_scratch(&cfg, runs.clone(), &mut scratch)
-            .run_with_stats()
+        let (_, stats) = Sim::builder(&cfg)
+            .runs(runs.clone())
+            .scratch(&mut scratch)
+            .build()
+            .and_then(Sim::run_with_stats)
             .expect("simulation");
         let wall = t0.elapsed().as_secs_f64();
         if rep > 0 {
@@ -228,14 +231,18 @@ fn run_parallel(nvm: usize, jobs: usize) -> Parallel {
 
     // One warm-up run so first-touch page faults and lazy synthesis are
     // off the clock.
-    Engine::new(&cfg, runs.clone())
-        .run_with_stats()
+    Sim::builder(&cfg)
+        .runs(runs.clone())
+        .build()
+        .and_then(Sim::run_with_stats)
         .expect("simulation");
 
     let t0 = Instant::now();
     let step_counts: Vec<u64> = par::run_indexed(PAR_WORKERS, PAR_RUNS, |_| {
-        let (_, stats) = Engine::new(&cfg, runs.clone())
-            .run_with_stats()
+        let (_, stats) = Sim::builder(&cfg)
+            .runs(runs.clone())
+            .build()
+            .and_then(Sim::run_with_stats)
             .expect("simulation");
         stats.steps
     });

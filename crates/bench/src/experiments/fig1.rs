@@ -5,10 +5,9 @@
 //! runtime breakdown (input download / data processing / output upload)
 //! and tenant utility normalised to ephSSD.
 
-use rayon::prelude::*;
-
 use cast_cloud::tier::Tier;
 use cast_cloud::units::DataSize;
+use cast_sim::par::{default_workers, run_indexed};
 use cast_workload::apps::AppKind;
 
 use crate::format::{Cell, TableWriter};
@@ -28,10 +27,10 @@ pub fn runs() -> Vec<(AppKind, Tier, SingleRun)> {
         .iter()
         .flat_map(|&(app, gb)| Tier::ALL.map(move |t| (app, gb, t)))
         .collect();
-    cells
-        .into_par_iter()
-        .map(|(app, gb, tier)| (app, tier, fig1_cluster(app, DataSize::from_gb(gb), tier, 1)))
-        .collect()
+    run_indexed(default_workers(), cells.len(), |i| {
+        let (app, gb, tier) = cells[i];
+        (app, tier, fig1_cluster(app, DataSize::from_gb(gb), tier, 1))
+    })
 }
 
 /// Reproduce Fig. 1.

@@ -6,13 +6,12 @@
 //! CAST fits through the observed points, evaluated on a finer grid —
 //! exactly the `perf (obs)` vs `perf (reg)` pairing of the figure.
 
-use rayon::prelude::*;
-
 use cast_cloud::tier::{PerTier, Tier};
 use cast_cloud::units::DataSize;
 use cast_cloud::Catalog;
 use cast_estimator::MonotoneSpline;
 use cast_sim::config::SimConfig;
+use cast_sim::par::{default_workers, run_indexed};
 use cast_sim::placement::PlacementMap;
 use cast_sim::Sim;
 use cast_workload::apps::AppKind;
@@ -45,10 +44,10 @@ pub fn observe(app: AppKind, input: DataSize, per_vm_gb: f64) -> f64 {
 
 /// One application's observed curve and its spline fit.
 pub fn curve(app: AppKind, input: DataSize) -> (Vec<(f64, f64)>, MonotoneSpline) {
-    let observed: Vec<(f64, f64)> = CAPACITIES
-        .into_par_iter()
-        .map(|gb| (gb, observe(app, input, gb)))
-        .collect();
+    let observed = run_indexed(default_workers(), CAPACITIES.len(), |i| {
+        let gb = CAPACITIES[i];
+        (gb, observe(app, input, gb))
+    });
     let spline = MonotoneSpline::fit(&observed).expect("distinct capacities");
     (observed, spline)
 }

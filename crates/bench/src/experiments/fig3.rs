@@ -6,10 +6,9 @@
 //! paid once (data stays resident between accesses). Utility is normalised
 //! to ephSSD within each pattern.
 
-use rayon::prelude::*;
-
 use cast_cloud::tier::Tier;
 use cast_cloud::units::DataSize;
+use cast_sim::par::{default_workers, run_indexed};
 use cast_workload::apps::AppKind;
 use cast_workload::reuse::ReusePattern;
 
@@ -38,13 +37,11 @@ pub fn cells() -> Vec<(AppKind, Tier, &'static str, f64)> {
             })
         })
         .collect();
-    combos
-        .into_par_iter()
-        .map(|(app, gb, tier, label, pattern)| {
-            let r = single_run(app, DataSize::from_gb(gb), tier, 1, pattern);
-            (app, tier, label, r.utility)
-        })
-        .collect()
+    run_indexed(default_workers(), combos.len(), |i| {
+        let (app, gb, tier, label, pattern) = combos[i];
+        let r = single_run(app, DataSize::from_gb(gb), tier, 1, pattern);
+        (app, tier, label, r.utility)
+    })
 }
 
 /// Reproduce Fig. 3.

@@ -3,10 +3,9 @@
 //! eight configurations (four non-tiered, two greedy variants, CAST,
 //! CAST++) on the 400-core cluster.
 
-use rayon::prelude::*;
-
 use cast_cloud::tier::Tier;
 use cast_core::framework::{Cast, PlanStrategy};
+use cast_sim::par::{default_workers, run_indexed};
 use cast_workload::spec::WorkloadSpec;
 use cast_workload::synth::{facebook_workload, FacebookConfig};
 
@@ -34,25 +33,23 @@ pub struct ConfigResult {
 
 /// Plan and deploy every Fig. 7 configuration.
 pub fn evaluate_all(framework: &Cast, spec: &WorkloadSpec) -> Vec<ConfigResult> {
-    PlanStrategy::ALL
-        .into_par_iter()
-        .map(|strategy| {
-            let planned = framework.plan(spec, strategy).expect("planning");
-            let out = framework.deploy(spec, &planned.plan).expect("deployment");
-            let total: f64 = Tier::ALL.iter().map(|&t| out.capacities.get(t).gb()).sum();
-            let capacity_frac =
-                Tier::ALL.map(|t| out.capacities.get(t).gb() / total.max(f64::MIN_POSITIVE));
-            ConfigResult {
-                label: strategy.label(),
-                runtime_min: out.makespan.mins(),
-                cost: out.cost.total().dollars(),
-                utility: out.utility,
-                capacity_frac,
-                est_runtime_min: planned.eval.time.mins(),
-                est_utility: planned.eval.utility,
-            }
-        })
-        .collect()
+    run_indexed(default_workers(), PlanStrategy::ALL.len(), |i| {
+        let strategy = PlanStrategy::ALL[i];
+        let planned = framework.plan(spec, strategy).expect("planning");
+        let out = framework.deploy(spec, &planned.plan).expect("deployment");
+        let total: f64 = Tier::ALL.iter().map(|&t| out.capacities.get(t).gb()).sum();
+        let capacity_frac =
+            Tier::ALL.map(|t| out.capacities.get(t).gb() / total.max(f64::MIN_POSITIVE));
+        ConfigResult {
+            label: strategy.label(),
+            runtime_min: out.makespan.mins(),
+            cost: out.cost.total().dollars(),
+            utility: out.utility,
+            capacity_frac,
+            est_runtime_min: planned.eval.time.mins(),
+            est_utility: planned.eval.utility,
+        }
+    })
 }
 
 /// Reproduce Fig. 7 (all three panels as one table).

@@ -5,12 +5,11 @@
 //! the REG(·) prediction (spline-interpolated Eq. 1) with the simulated
 //! runtime. The paper reports an average error of 7.9 %.
 
-use rayon::prelude::*;
-
 use cast_cloud::tier::{PerTier, Tier};
 use cast_cloud::units::DataSize;
 use cast_estimator::{Estimator, PredictionError};
 use cast_sim::config::SimConfig;
+use cast_sim::par::{default_workers, run_indexed};
 use cast_sim::placement::PlacementMap;
 use cast_sim::Sim;
 use cast_workload::spec::WorkloadSpec;
@@ -58,16 +57,14 @@ pub fn observe(estimator: &Estimator, spec: &WorkloadSpec, per_vm_gb: f64) -> f6
 pub fn sweep() -> (Vec<(f64, f64, f64)>, PredictionError) {
     let estimator = paper_estimator();
     let spec = synth::prediction_workload();
-    let rows: Vec<(f64, f64, f64)> = CAPACITIES
-        .into_par_iter()
-        .map(|gb| {
-            (
-                gb,
-                predict(&estimator, &spec, gb),
-                observe(&estimator, &spec, gb),
-            )
-        })
-        .collect();
+    let rows = run_indexed(default_workers(), CAPACITIES.len(), |i| {
+        let gb = CAPACITIES[i];
+        (
+            gb,
+            predict(&estimator, &spec, gb),
+            observe(&estimator, &spec, gb),
+        )
+    });
     let mut err = PredictionError::new();
     for &(_, pred, obs) in &rows {
         err.record(pred, obs);

@@ -40,7 +40,6 @@
 //! exact). Wall-clock measurements and plan-cache counters are
 //! quarantined in [`FleetStats`].
 
-use std::sync::Mutex;
 use std::time::Instant;
 
 use cast_cloud::tier::PerTier;
@@ -308,8 +307,8 @@ impl<'a> Fleet<'a> {
             // tenant adopts its group's product (the representative as
             // Fresh, the rest as Deduped) and runs its own hysteresis
             // judgement, migration diff and demand aggregation.
-            let finish_slots: Vec<Mutex<Option<(Box<PendingPlan>, SolveProduct, PlanProvenance)>>> =
-                (0..n).map(|_| Mutex::new(None)).collect();
+            let mut finish_work: Vec<Option<(Box<PendingPlan>, SolveProduct, PlanProvenance)>> =
+                (0..n).map(|_| None).collect();
             for (g, (result, solve_wall)) in solve_results.into_iter().enumerate() {
                 let (rep, members) = &groups[g];
                 let product = result?;
@@ -328,28 +327,26 @@ impl<'a> Fleet<'a> {
                     } else {
                         product.clone()
                     };
-                    *finish_slots[i].lock().expect("uncontended") = Some((
+                    finish_work[i] = Some((
                         pendings[i].take().expect("member Some"),
                         member_product,
                         PlanProvenance::Deduped,
                     ));
                 }
-                *finish_slots[*rep].lock().expect("uncontended") = Some((
+                finish_work[*rep] = Some((
                     pendings[*rep].take().expect("rep Some"),
                     product,
                     PlanProvenance::Fresh,
                 ));
             }
-            let fslots = &finish_slots;
-            let finished = run_indexed_mut(cfg.workers, &mut sessions, |i, s| {
-                match fslots[i].lock().expect("uncontended").take() {
-                    Some((pending, product, prov)) => {
-                        let t = Instant::now();
-                        let r = s.finish_epoch(*pending, &product, prov).map(Some);
-                        (r, t.elapsed().as_secs_f64())
-                    }
-                    None => (Ok(None), 0.0),
+            let mut work: Vec<_> = sessions.iter_mut().zip(finish_work).collect();
+            let finished = run_indexed_mut(cfg.workers, &mut work, |_, (s, w)| match w.take() {
+                Some((pending, product, prov)) => {
+                    let t = Instant::now();
+                    let r = s.finish_epoch(*pending, &product, prov).map(Some);
+                    (r, t.elapsed().as_secs_f64())
                 }
+                None => (Ok(None), 0.0),
             });
             for (i, (r, wall)) in finished.into_iter().enumerate() {
                 if let Some(p) = r? {
@@ -416,8 +413,7 @@ impl<'a> Fleet<'a> {
             // Phase 4a — settle verdicts in (shard, tenant) order:
             // trace events, accumulators, defer/reject bookkeeping; the
             // admitted batches queue for parallel execution.
-            let exec_slots: Vec<Mutex<Option<(PlannedEpoch, f64)>>> =
-                (0..n).map(|_| Mutex::new(None)).collect();
+            let mut exec_work: Vec<Option<(PlannedEpoch, f64)>> = (0..n).map(|_| None).collect();
             let boundary_secs = cfg.runtime.epoch.secs() * (k + 1) as f64;
             for shard in 0..registry.shards() {
                 for &i in registry.shard_tenants(shard) {
@@ -444,7 +440,7 @@ impl<'a> Fleet<'a> {
                             }
                             tacc[i].grant_sum += frac;
                             sacc[shard as usize].admitted += 1;
-                            *exec_slots[i].lock().expect("uncontended") = Some((p, frac));
+                            exec_work[i] = Some((p, frac));
                         }
                         Admission::Deferred => {
                             consec_defer[i] += 1;
@@ -464,12 +460,10 @@ impl<'a> Fleet<'a> {
             // Phase 3 — execute admitted batches in parallel under their
             // grants.
             let t_exec = Instant::now();
-            let slots = &exec_slots;
-            let results = run_indexed_mut(cfg.workers, &mut sessions, |i, s| {
-                match slots[i].lock().expect("uncontended").take() {
-                    Some((p, frac)) => s.execute_epoch(p, frac).map(|_| true),
-                    None => Ok(false),
-                }
+            let mut work: Vec<_> = sessions.iter_mut().zip(exec_work).collect();
+            let results = run_indexed_mut(cfg.workers, &mut work, |_, (s, w)| match w.take() {
+                Some((p, frac)) => s.execute_epoch(p, frac).map(|_| true),
+                None => Ok(false),
             });
             for r in results {
                 if r? {

@@ -68,7 +68,11 @@ pub enum EventBody {
         job: u32,
         /// VM the task runs on.
         vm: u32,
-        /// Lifecycle edge name, mirroring the simulator's `TaskEventKind`.
+        /// Slot pool the task occupies: `"map"`, `"reduce"` or
+        /// `"transfer"`.
+        slot: String,
+        /// Lifecycle edge name: `"started"`, `"finished"`, `"failed"`,
+        /// `"retried"`, `"speculated"` or `"killed"`.
         kind: String,
     },
     /// Sampled tier-bandwidth contention: aggregate demand vs. capacity.

@@ -20,6 +20,9 @@ pub enum RuntimeError {
     Estimator(EstimatorError),
     /// Cluster provisioning failed.
     Cloud(cast_cloud::CloudError),
+    /// A capacity grant that is not a fraction in `[0, 1]` (NaN, ±∞ or
+    /// out of range).
+    InvalidGrant(f64),
 }
 
 impl fmt::Display for RuntimeError {
@@ -30,6 +33,12 @@ impl fmt::Display for RuntimeError {
             RuntimeError::Sim(e) => write!(f, "simulation error: {e}"),
             RuntimeError::Estimator(e) => write!(f, "estimator error: {e}"),
             RuntimeError::Cloud(e) => write!(f, "cloud error: {e}"),
+            RuntimeError::InvalidGrant(g) => {
+                write!(
+                    f,
+                    "invalid capacity grant {g}: must be a fraction in [0, 1]"
+                )
+            }
         }
     }
 }

@@ -284,6 +284,24 @@ mod tests {
     }
 
     #[test]
+    fn invalid_grants_are_typed_errors() {
+        // NaN passes `clamp(0.0, 1.0)` unchanged and fails `< 1.0`, so a
+        // clamping session would provision a NaN grant at full demand.
+        let est = estimator(4);
+        let rt = OnlineRuntime::new(&est, quick_anneal(600), quick_cfg(ReplanPolicy::Periodic));
+        for bad in [f64::NAN, f64::INFINITY, -0.5, 1.5] {
+            let mut session = rt.session(stream(7));
+            let planned = (0..session.epoch_count())
+                .find_map(|k| session.plan_epoch(k).unwrap())
+                .expect("a planned epoch");
+            match session.execute_epoch(planned, bad) {
+                Err(RuntimeError::InvalidGrant(g)) => assert_eq!(g.to_bits(), bad.to_bits()),
+                other => panic!("grant {bad}: expected InvalidGrant, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn partial_grants_slow_the_epoch_but_lose_nothing() {
         let est = estimator(4);
         let cfg = quick_cfg(ReplanPolicy::Periodic);

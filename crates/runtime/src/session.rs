@@ -706,12 +706,17 @@ impl<'a> TenantSession<'a> {
     /// `1.0` provisions exactly what the solo runtime would (bit-
     /// identical), smaller grants provision proportionally less on every
     /// capacity-scaled tier — so volumes are slower — and throttle the
-    /// shared object-store ceiling by the same factor.
+    /// shared object-store ceiling by the same factor. A grant that is
+    /// not a fraction in `[0, 1]` — NaN included — is rejected with
+    /// [`RuntimeError::InvalidGrant`] before anything runs.
     pub fn execute_epoch(
         &mut self,
         planned: PlannedEpoch,
         grant_frac: f64,
     ) -> Result<(), RuntimeError> {
+        if !(0.0..=1.0).contains(&grant_frac) {
+            return Err(RuntimeError::InvalidGrant(grant_frac));
+        }
         let PlannedEpoch {
             epoch: k,
             boundary,
@@ -729,11 +734,10 @@ impl<'a> TenantSession<'a> {
             demand,
             provenance: _,
         } = planned;
-        let frac = grant_frac.clamp(0.0, 1.0);
         // A full grant must reproduce the solo runtime bit-for-bit, so
         // only scale when the scheduler actually took capacity away.
-        let raw = if frac < 1.0 {
-            PerTier::from_fn(|t| *demand.get(t) * frac)
+        let raw = if grant_frac < 1.0 {
+            PerTier::from_fn(|t| *demand.get(t) * grant_frac)
         } else {
             demand
         };
@@ -742,8 +746,8 @@ impl<'a> TenantSession<'a> {
         let mut scfg =
             SimConfig::with_aggregate_capacity(self.estimator.catalog.clone(), nvm, &capacities)?;
         scfg.concurrency = Concurrency::Parallel;
-        if frac < 1.0 {
-            scfg.objstore_cluster_mbps *= frac;
+        if grant_frac < 1.0 {
+            scfg.objstore_cluster_mbps *= grant_frac;
         }
 
         // Lower the schedule through the migration protocol: retries,

@@ -57,9 +57,6 @@ pub struct SimConfig {
     /// see the Table 1 rate, but the bucket saturates once enough VMs pull
     /// concurrently.
     pub objstore_cluster_mbps: f64,
-    /// Record a per-task [`crate::trace::Trace`] during simulation
-    /// (off by default; adds memory proportional to task count).
-    pub collect_trace: bool,
     /// Fault-injection scenario. The default (empty) plan reproduces
     /// fault-free simulations bit-identically.
     pub faults: FaultPlan,
@@ -92,7 +89,6 @@ impl SimConfig {
             transfer_streams_per_vm: 4,
             task_startup_secs: 1.5,
             objstore_cluster_mbps: cast_cloud::catalog::OBJSTORE_CLUSTER_MBPS,
-            collect_trace: false,
             faults: FaultPlan::default(),
             event_budget: DEFAULT_EVENT_BUDGET,
         })
@@ -199,7 +195,6 @@ mod tests {
         // including a populated fault plan — and must get it back intact.
         let mut cfg = SimConfig::paper_cluster(&agg(1000.0)).unwrap();
         cfg.concurrency = Concurrency::Parallel;
-        cfg.collect_trace = true;
         cfg.faults = crate::fault::FaultPlan {
             task_failure_prob: 0.01,
             ..crate::fault::FaultPlan::default()

@@ -341,12 +341,13 @@ mod tests {
         cfg: &SimConfig,
         collector: &Collector,
     ) -> Result<(SimReport, DurabilityReport), SimError> {
-        Sim::builder(cfg)
+        let sim = Sim::builder(cfg)
             .jobs(spec, placements)
             .collector(collector.clone())
             .durability(true)
-            .build()?
-            .run_durable()
+            .build()?;
+        let durability = sim.durability().cloned().unwrap_or_default();
+        Ok((sim.run()?, durability))
     }
 
     fn cfg_with(catalog: Catalog, nvm: usize, faults: FaultPlan) -> SimConfig {

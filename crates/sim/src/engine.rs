@@ -34,9 +34,14 @@
 //! moves them out of the job queue once; retries and speculative backups
 //! share by id instead of cloning boxes. Stage buffers, retry slots and
 //! every per-run scratch vector live in an [`EngineScratch`] that can be
-//! reused across runs ([`Engine::with_scratch`]), so repeated simulation
-//! of the same catalog allocates nothing in steady state
+//! reused across runs ([`crate::SimBuilder::scratch`]), so repeated
+//! simulation of the same catalog allocates nothing in steady state
 //! ([`EngineStats::scratch_reallocs`] proves it).
+//!
+//! The engine itself is crate-private: [`crate::Sim`] is the only handle
+//! to a live simulation. Build one with [`crate::Sim::builder`], run it
+//! with [`crate::Sim::run`] or [`crate::Sim::run_with_stats`], and fork
+//! it through [`crate::Sim::snapshot`] and [`EngineSnapshot::fork`].
 //!
 //! The pre-overhaul stepper that recomputed every rate and advanced every
 //! task on every event survives as [`crate::reference::ReferenceEngine`]
@@ -75,7 +80,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use cast_obs::{Collector, Counter, EventBody, Histogram};
-use cast_workload::job::JobId;
 
 use crate::config::{Concurrency, SimConfig};
 use crate::error::SimError;
@@ -83,13 +87,13 @@ use crate::fault::FaultPlan;
 use crate::jobrun::{JobPhase, JobRun};
 use crate::metrics::{FaultSummary, JobMetrics, SimReport};
 use crate::resources::{ResKind, ShareRegistry};
+use crate::sim::Sim;
 use crate::soa::{
     TaskTable, TemplateArena, NO_DOOM, NO_HEAP, NO_POS, NO_RES, NO_TEMPLATE, NO_TWIN,
 };
 #[cfg(feature = "reference-engine")]
 use crate::task::RunningTask;
 use crate::task::{bind_spec, BoundStage, SlotKind, TaskTemplate};
-use crate::trace::{TaskEvent, TaskEventKind, Trace};
 use cast_cloud::units::Duration;
 
 /// Completion tolerance for floating-point progress.
@@ -136,27 +140,62 @@ impl SimObs {
         }
     }
 
-    pub(crate) fn task_counter(&self, kind: TaskEventKind) -> &Counter {
-        match kind {
+    /// Record one task-lifecycle edge at simulated time `t`: bump its
+    /// counter and, on a recording collector, emit an
+    /// [`EventBody::Task`] event.
+    pub(crate) fn task(&self, t: f64, job: usize, vm: u32, slot: SlotKind, kind: TaskEventKind) {
+        let counter = match kind {
             TaskEventKind::Started => &self.started,
             TaskEventKind::Finished => &self.finished,
             TaskEventKind::Failed => &self.failed,
             TaskEventKind::Retried => &self.retried,
             TaskEventKind::Speculated => &self.speculated,
             TaskEventKind::Killed => &self.killed,
+        };
+        counter.inc();
+        if self.col.enabled() {
+            self.col.emit(
+                t,
+                EventBody::Task {
+                    job: job as u32,
+                    vm,
+                    slot: slot.label().to_string(),
+                    kind: kind.label().to_string(),
+                },
+            );
         }
     }
 }
 
-/// Span-taxonomy label of a task-lifecycle edge.
-pub(crate) fn task_kind_label(kind: TaskEventKind) -> &'static str {
-    match kind {
-        TaskEventKind::Started => "started",
-        TaskEventKind::Finished => "finished",
-        TaskEventKind::Failed => "failed",
-        TaskEventKind::Retried => "retried",
-        TaskEventKind::Speculated => "speculated",
-        TaskEventKind::Killed => "killed",
+/// A task-lifecycle edge, as recorded in [`EventBody::Task`] events.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TaskEventKind {
+    /// A task was dispatched onto a slot.
+    Started,
+    /// A task finished and released its slot.
+    Finished,
+    /// A task attempt failed mid-run (fault injection).
+    Failed,
+    /// A previously failed or killed task was re-dispatched.
+    Retried,
+    /// A speculative backup copy of a straggler was launched.
+    Speculated,
+    /// A task was killed — its VM crashed, or its twin won the
+    /// speculative race.
+    Killed,
+}
+
+impl TaskEventKind {
+    /// Span-taxonomy label of the edge.
+    fn label(self) -> &'static str {
+        match self {
+            TaskEventKind::Started => "started",
+            TaskEventKind::Finished => "finished",
+            TaskEventKind::Failed => "failed",
+            TaskEventKind::Retried => "retried",
+            TaskEventKind::Speculated => "speculated",
+            TaskEventKind::Killed => "killed",
+        }
     }
 }
 
@@ -260,7 +299,7 @@ pub(crate) fn build_fault_events(plan: &FaultPlan, events: &mut Vec<FaultEvent>)
 }
 
 /// Execution statistics alongside a [`SimReport`]; see
-/// [`Engine::run_with_stats`].
+/// [`Sim::run_with_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
     /// Engine steps (discrete events) processed.
@@ -280,17 +319,17 @@ pub struct EngineStats {
     pub dirty_drain_batches: u64,
     /// Internal buffers that had to grow during this run's scratch
     /// preparation. Zero when the engine reused a scratch last sized for
-    /// an equal-or-larger catalog ([`Engine::with_scratch`]).
+    /// an equal-or-larger catalog ([`crate::SimBuilder::scratch`]).
     pub scratch_reallocs: u64,
 }
 
-/// Outcome of a bounded run segment ([`Engine::run_until`]).
+/// Outcome of a bounded run segment ([`Sim::run_until`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunState {
     /// The horizon was reached with work still in flight; the engine is
     /// live and can be advanced further, snapshotted, or forked.
     Running,
-    /// Every job reached `Done`; call [`Engine::finish`] for the report.
+    /// Every job reached `Done`; call [`Sim::run`] for the report.
     Done,
 }
 
@@ -302,21 +341,9 @@ pub enum RunState {
 /// positional delete: at most one entry per task ever exists, and every
 /// entry in the heap is live. The position column is passed in by the
 /// caller (`&mut table.heap_pos`) to keep the borrows disjoint.
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct TaskHeap {
     v: Vec<(f64, u32)>,
-}
-
-/// Hand-written so `clone_from` reuses the entry buffer on the
-/// snapshot/fork resume path.
-impl Clone for TaskHeap {
-    fn clone(&self) -> Self {
-        TaskHeap { v: self.v.clone() }
-    }
-
-    fn clone_from(&mut self, src: &Self) {
-        self.v.clone_from(&src.v);
-    }
 }
 
 impl TaskHeap {
@@ -450,11 +477,13 @@ impl Ord for Wake {
 /// Everything the engine allocates that can outlive a run: the resource
 /// registry, the SoA task table, the template arena, pooled stage
 /// buffers, the completion heap and every scratch vector. Owned by the
-/// engine by default; pass one explicitly via [`Engine::with_scratch`]
-/// to amortize allocation across repeated runs (annealer scoring loops,
-/// benchmark reps). Preparation is in-place: buffers are cleared, not
+/// engine by default; pass one explicitly via
+/// [`crate::SimBuilder::scratch`] to amortize allocation across repeated
+/// runs (annealer scoring loops, benchmark reps). Preparation is
+/// in-place: buffers are cleared, not
 /// dropped, and [`EngineStats::scratch_reallocs`] counts the ones that
 /// had to grow.
+#[derive(Clone)]
 pub struct EngineScratch {
     reg: ShareRegistry,
     table: TaskTable,
@@ -602,55 +631,6 @@ impl Default for EngineScratch {
     }
 }
 
-/// Hand-written so `clone_from` reuses every buffer: restoring a
-/// snapshot into a previously-sized scratch ([`EngineSnapshot::fork_with_scratch`])
-/// allocates nothing. `BinaryHeap`'s own `clone_from` already forwards to
-/// the backing vector's.
-impl Clone for EngineScratch {
-    fn clone(&self) -> Self {
-        let mut s = EngineScratch::new();
-        s.clone_from(self);
-        s
-    }
-
-    fn clone_from(&mut self, src: &Self) {
-        self.reg.clone_from(&src.reg);
-        self.table.clone_from(&src.table);
-        self.arena.clone_from(&src.arena);
-        self.buf_pool.truncate(src.buf_pool.len());
-        for (dst, s) in self.buf_pool.iter_mut().zip(&src.buf_pool) {
-            dst.clone_from(s);
-        }
-        for s in &src.buf_pool[self.buf_pool.len()..] {
-            self.buf_pool.push(s.clone());
-        }
-        self.heap.clone_from(&src.heap);
-        self.wakes.clone_from(&src.wakes);
-        self.dirty_tasks.clone_from(&src.dirty_tasks);
-        self.due.clone_from(&src.due);
-        self.winners.clone_from(&src.winners);
-        self.affected_jobs.clone_from(&src.affected_jobs);
-        self.affected_flags.clone_from(&src.affected_flags);
-        self.pending_jobs.clone_from(&src.pending_jobs);
-        self.front_slot.clone_from(&src.front_slot);
-        self.dispatch_scratch.clone_from(&src.dispatch_scratch);
-        self.spec_rates.clone_from(&src.spec_rates);
-        self.stragglers.clone_from(&src.stragglers);
-        self.wave_scratch.clone_from(&src.wave_scratch);
-        self.free_map.clone_from(&src.free_map);
-        self.free_red.clone_from(&src.free_red);
-        self.avail_map = src.avail_map;
-        self.avail_red = src.avail_red;
-        self.slot_heap_map.clone_from(&src.slot_heap_map);
-        self.slot_heap_red.clone_from(&src.slot_heap_red);
-        self.crashed.clone_from(&src.crashed);
-        self.seq.clone_from(&src.seq);
-        self.retries.clone_from(&src.retries);
-        self.fault_events.clone_from(&src.fault_events);
-        self.reallocs = src.reallocs;
-    }
-}
-
 /// Owned-or-borrowed scratch; both deref to [`EngineScratch`] so the hot
 /// path is identical.
 enum ScratchRef<'a> {
@@ -700,7 +680,7 @@ struct Removed {
 pub const SNAPSHOT_VERSION: u32 = 1;
 
 /// An owned, opaque copy of a live simulation's complete state, taken
-/// with [`Engine::snapshot`]. Independent of the source engine's
+/// with [`Sim::snapshot`]. Independent of the source simulation's
 /// lifetime (it owns its own `SimConfig` and job runs) and `Send + Sync`,
 /// so one snapshot can be shared across a worker pool and forked once
 /// per candidate plan ([`crate::par::run_indexed`]).
@@ -711,7 +691,7 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 /// streams and uid counters, retry backlog, fault cursors, and every
 /// determinism-relevant scalar (dispatch cursor, done-prefix watermark,
 /// event/budget counters). Not captured: the observability collector —
-/// each fork attaches its own (default: no-op).
+/// each fork runs unobserved.
 pub struct EngineSnapshot {
     version: u32,
     cfg: SimConfig,
@@ -721,7 +701,6 @@ pub struct EngineSnapshot {
     clock: f64,
     dispatch_cursor: usize,
     done_prefix: usize,
-    trace: Option<Trace>,
     fault_enabled: bool,
     next_fault_event: usize,
     vm_crashes: u32,
@@ -754,64 +733,39 @@ impl EngineSnapshot {
         &self.jobs
     }
 
-    /// Restore the snapshot into `st` and return a live engine. All
-    /// fork flavors funnel through here.
-    fn fork_into<'s>(&'s self, collector: Collector, st: ScratchRef<'s>) -> Engine<'s> {
-        Engine {
-            cfg: &self.cfg,
-            st,
-            jobs: self.jobs.clone(),
-            jobs_changed: self.jobs_changed,
-            clock: self.clock,
-            dispatch_cursor: self.dispatch_cursor,
-            done_prefix: self.done_prefix,
-            trace: self.trace.clone(),
-            fault_enabled: self.fault_enabled,
-            next_fault_event: self.next_fault_event,
-            vm_crashes: self.vm_crashes,
-            obs: SimObs::new(collector),
-            started: self.started,
-            events: self.events,
-            steps_done: self.steps_done,
-            heap_stale_popped: self.heap_stale_popped,
-            wake_entries_allocated: self.wake_entries_allocated,
-            dirty_drain_batches: self.dirty_drain_batches,
-        }
-    }
-
-    /// Fork a fresh engine resuming from the captured state. Each fork
-    /// is fully independent; the snapshot can be forked any number of
-    /// times. Running a fork to completion is bit-identical to the
-    /// source engine having run uninterrupted (with the same
+    /// Fork a live simulation resuming from the captured state. Each
+    /// fork is fully independent; the snapshot can be forked any number
+    /// of times. Running a fork to completion is bit-identical to the
+    /// source simulation having run uninterrupted (with the same
     /// post-snapshot decisions).
-    pub fn fork(&self) -> Engine<'_> {
-        self.fork_into(
-            Collector::noop(),
-            ScratchRef::Owned(Box::new((*self.state).clone())),
-        )
-    }
-
-    /// [`EngineSnapshot::fork`] with an observability collector
-    /// attached.
-    pub fn fork_observed(&self, collector: Collector) -> Engine<'_> {
-        self.fork_into(
-            collector,
-            ScratchRef::Owned(Box::new((*self.state).clone())),
-        )
-    }
-
-    /// [`EngineSnapshot::fork`] restoring into caller-owned scratch —
-    /// the zero-allocation resume path: restoring into a scratch that
-    /// previously held a same-or-larger run reuses every buffer.
-    pub fn fork_with_scratch<'s>(&'s self, scratch: &'s mut EngineScratch) -> Engine<'s> {
-        scratch.clone_from(&self.state);
-        self.fork_into(Collector::noop(), ScratchRef::Borrowed(scratch))
+    pub fn fork(&self) -> Sim<'_> {
+        Sim {
+            engine: Engine {
+                cfg: &self.cfg,
+                st: ScratchRef::Owned(self.state.clone()),
+                jobs: self.jobs.clone(),
+                jobs_changed: self.jobs_changed,
+                clock: self.clock,
+                dispatch_cursor: self.dispatch_cursor,
+                done_prefix: self.done_prefix,
+                fault_enabled: self.fault_enabled,
+                next_fault_event: self.next_fault_event,
+                vm_crashes: self.vm_crashes,
+                obs: SimObs::new(Collector::noop()),
+                started: self.started,
+                events: self.events,
+                steps_done: self.steps_done,
+                heap_stale_popped: self.heap_stale_popped,
+                wake_entries_allocated: self.wake_entries_allocated,
+                dirty_drain_batches: self.dirty_drain_batches,
+            },
+            durability: None,
+        }
     }
 }
 
-/// The simulation engine. Construct with [`Engine::new`], run with
-/// [`Engine::run`].
-pub struct Engine<'a> {
+/// The simulation engine behind [`Sim`], which is its only public handle.
+pub(crate) struct Engine<'a> {
     cfg: &'a SimConfig,
     st: ScratchRef<'a>,
     jobs: Vec<JobRun>,
@@ -825,7 +779,6 @@ pub struct Engine<'a> {
     /// into an O(1) comparison (the scan is O(done-prefix) per waiting
     /// job, which goes quadratic-in-jobs on long sequential backlogs).
     done_prefix: usize,
-    trace: Option<Trace>,
     fault_enabled: bool,
     next_fault_event: usize,
     vm_crashes: u32,
@@ -844,50 +797,22 @@ pub struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// Build an engine over prepared job runs. `jobs` must be ordered so
-    /// that every dependency index is smaller than the dependent's index.
-    pub fn new(cfg: &'a SimConfig, jobs: Vec<JobRun>) -> Engine<'a> {
-        Engine::observed(cfg, jobs, Collector::noop())
-    }
-
-    /// [`Engine::new`] with an observability collector attached. The
-    /// collector only records what the engine already computes; results
-    /// are bit-identical to an unobserved run.
-    pub fn observed(cfg: &'a SimConfig, jobs: Vec<JobRun>, collector: Collector) -> Engine<'a> {
-        let mut st = Box::new(EngineScratch::new());
+    /// Build an engine over prepared job runs, in caller-owned scratch
+    /// when given one (results are bit-identical either way). `jobs`
+    /// must be ordered so that every dependency index is smaller than
+    /// the dependent's index. The collector only records what the engine
+    /// already computes; results are bit-identical to an unobserved run.
+    pub(crate) fn new(
+        cfg: &'a SimConfig,
+        jobs: Vec<JobRun>,
+        collector: Collector,
+        scratch: Option<&'a mut EngineScratch>,
+    ) -> Engine<'a> {
+        let mut st = match scratch {
+            Some(scratch) => ScratchRef::Borrowed(scratch),
+            None => ScratchRef::Owned(Box::default()),
+        };
         st.prepare(cfg, jobs.len());
-        Engine::build(cfg, jobs, collector, ScratchRef::Owned(st))
-    }
-
-    /// [`Engine::new`] reusing caller-owned scratch state. Results are
-    /// bit-identical to a fresh engine; repeated runs over the same (or a
-    /// smaller) catalog do zero re-allocation
-    /// ([`EngineStats::scratch_reallocs`]).
-    pub fn with_scratch(
-        cfg: &'a SimConfig,
-        jobs: Vec<JobRun>,
-        scratch: &'a mut EngineScratch,
-    ) -> Engine<'a> {
-        Engine::observed_with_scratch(cfg, jobs, Collector::noop(), scratch)
-    }
-
-    /// [`Engine::observed`] reusing caller-owned scratch state.
-    pub fn observed_with_scratch(
-        cfg: &'a SimConfig,
-        jobs: Vec<JobRun>,
-        collector: Collector,
-        scratch: &'a mut EngineScratch,
-    ) -> Engine<'a> {
-        scratch.prepare(cfg, jobs.len());
-        Engine::build(cfg, jobs, collector, ScratchRef::Borrowed(scratch))
-    }
-
-    fn build(
-        cfg: &'a SimConfig,
-        jobs: Vec<JobRun>,
-        collector: Collector,
-        st: ScratchRef<'a>,
-    ) -> Engine<'a> {
         Engine {
             st,
             jobs,
@@ -895,7 +820,6 @@ impl<'a> Engine<'a> {
             clock: 0.0,
             dispatch_cursor: 0,
             done_prefix: 0,
-            trace: cfg.collect_trace.then(Trace::default),
             fault_enabled: !cfg.faults.is_empty(),
             next_fault_event: 0,
             vm_crashes: 0,
@@ -908,18 +832,6 @@ impl<'a> Engine<'a> {
             dirty_drain_batches: 0,
             cfg,
         }
-    }
-
-    /// Run to completion, producing per-job metrics.
-    pub fn run(self) -> Result<SimReport, SimError> {
-        self.run_with_stats().map(|(report, _)| report)
-    }
-
-    /// [`Engine::run`], also returning execution statistics (step count,
-    /// for events/sec benchmarking, plus heap/allocation health
-    /// counters).
-    pub fn run_with_stats(self) -> Result<(SimReport, EngineStats), SimError> {
-        self.finish()
     }
 
     /// Start-of-run work, exactly once per engine (or fork) regardless of
@@ -988,10 +900,10 @@ impl<'a> Engine<'a> {
     /// round that crosses it completes in full) or the workload
     /// finishes, whichever comes first. The engine stays live either
     /// way: snapshot it, fork candidates, keep running. Event budget
-    /// and error semantics are identical to [`Engine::run`] — a run
+    /// and error semantics are identical to a run to completion — a run
     /// segmented into `run_until` slices is bit-identical to an
     /// uninterrupted one.
-    pub fn run_until(&mut self, horizon: f64) -> Result<RunState, SimError> {
+    pub(crate) fn run_until(&mut self, horizon: f64) -> Result<RunState, SimError> {
         self.ensure_started()?;
         while self.clock < horizon {
             if self.step_once()? {
@@ -1005,7 +917,7 @@ impl<'a> Engine<'a> {
     /// execution statistics. Counters cover the whole run, including any
     /// prior [`Engine::run_until`] segments (and, on a fork, the parent's
     /// pre-snapshot work).
-    pub fn finish(mut self) -> Result<(SimReport, EngineStats), SimError> {
+    pub(crate) fn finish(mut self) -> Result<(SimReport, EngineStats), SimError> {
         self.ensure_started()?;
         while !self.step_once()? {}
         let mut metrics: Vec<JobMetrics> = self
@@ -1038,7 +950,6 @@ impl<'a> Engine<'a> {
             jobs: metrics,
             makespan: Duration::from_secs(self.clock),
             faults,
-            trace: self.trace,
         };
         let stats = EngineStats {
             steps: self.events,
@@ -1050,15 +961,13 @@ impl<'a> Engine<'a> {
         Ok((report, stats))
     }
 
-    // ---- snapshot / fork ----
-
     /// Capture the complete simulation state — clock, task table, heaps,
     /// share registry, slot pools, per-job RNG streams, fault cursors —
     /// as an owned, engine-lifetime-independent [`EngineSnapshot`]. Cost
     /// is O(live state). The engine keeps running; snapshot at a replan
     /// point, fork one candidate per plan, and keep the live run as the
     /// incumbent.
-    pub fn snapshot(&self) -> EngineSnapshot {
+    pub(crate) fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot {
             version: SNAPSHOT_VERSION,
             cfg: self.cfg.clone(),
@@ -1068,37 +977,9 @@ impl<'a> Engine<'a> {
             clock: self.clock,
             dispatch_cursor: self.dispatch_cursor,
             done_prefix: self.done_prefix,
-            trace: self.trace.clone(),
             fault_enabled: self.fault_enabled,
             next_fault_event: self.next_fault_event,
             vm_crashes: self.vm_crashes,
-            started: self.started,
-            events: self.events,
-            steps_done: self.steps_done,
-            heap_stale_popped: self.heap_stale_popped,
-            wake_entries_allocated: self.wake_entries_allocated,
-            dirty_drain_batches: self.dirty_drain_batches,
-        }
-    }
-
-    /// Fork an independent engine continuing from this one's current
-    /// state (shorthand for `snapshot` + fork when the snapshot itself
-    /// is not needed). The fork owns its state; running it does not
-    /// perturb the original.
-    pub fn fork(&self) -> Engine<'a> {
-        Engine {
-            cfg: self.cfg,
-            st: ScratchRef::Owned(Box::new((*self.st).clone())),
-            jobs: self.jobs.clone(),
-            jobs_changed: self.jobs_changed,
-            clock: self.clock,
-            dispatch_cursor: self.dispatch_cursor,
-            done_prefix: self.done_prefix,
-            trace: self.trace.clone(),
-            fault_enabled: self.fault_enabled,
-            next_fault_event: self.next_fault_event,
-            vm_crashes: self.vm_crashes,
-            obs: SimObs::new(self.obs.col.clone()),
             started: self.started,
             events: self.events,
             steps_done: self.steps_done,
@@ -1109,22 +990,18 @@ impl<'a> Engine<'a> {
     }
 
     /// Current simulated time.
-    pub fn clock(&self) -> f64 {
+    pub(crate) fn clock(&self) -> f64 {
         self.clock
     }
 
     /// The engine's job runs (placements, phases, progress counters).
-    pub fn jobs(&self) -> &[JobRun] {
+    pub(crate) fn jobs(&self) -> &[JobRun] {
         &self.jobs
     }
 
-    /// Swap the placement of a still-[`JobPhase::Waiting`] job — the
-    /// what-if lever for candidate-plan scoring on a fork. Waiting jobs
-    /// have generated no task templates yet, so the swap is exact: the
-    /// fork behaves as if the job had been prepared with this placement
-    /// from the start. Jobs past `Waiting` have work derived from their
-    /// old placement in flight and cannot be redirected.
-    pub fn set_placement(
+    /// Swap the placement of a still-[`JobPhase::Waiting`] job; see
+    /// [`Sim::set_placement`].
+    pub(crate) fn set_placement(
         &mut self,
         job: usize,
         placement: crate::placement::JobPlacement,
@@ -1647,7 +1524,8 @@ impl<'a> Engine<'a> {
                     }
                 }
                 let slot = tmpl.slot;
-                self.push_trace(i, vm as u32, slot, TaskEventKind::Started);
+                self.obs
+                    .task(self.clock, i, vm as u32, slot, TaskEventKind::Started);
                 let mut buf = bind_template(&mut self.st.buf_pool, vm as u32, &tmpl);
                 let (mut uid, mut tid, mut doom) = (0u64, NO_TEMPLATE, NO_DOOM);
                 if self.fault_enabled {
@@ -1740,7 +1618,8 @@ impl<'a> Engine<'a> {
                 }
             }
             let job = entry.job as usize;
-            self.push_trace(job, vm as u32, slot, TaskEventKind::Retried);
+            self.obs
+                .task(self.clock, job, vm as u32, slot, TaskEventKind::Retried);
             let mut buf = {
                 let st = &mut *self.st;
                 bind_template(&mut st.buf_pool, vm as u32, st.arena.get(entry.tid))
@@ -1863,7 +1742,8 @@ impl<'a> Engine<'a> {
             let orig_uid = self.st.table.uid[i];
             let attempt = self.st.table.attempt[i];
             self.st.table.speculated[i] = true;
-            self.push_trace(job, vm as u32, slot, TaskEventKind::Speculated);
+            self.obs
+                .task(self.clock, job, vm as u32, slot, TaskEventKind::Speculated);
             let mut buf = {
                 let st = &mut *self.st;
                 st.arena.retain(tid);
@@ -1962,7 +1842,13 @@ impl<'a> Engine<'a> {
             let job = victim.job;
             self.jobs[job].active -= 1;
             self.jobs[job].kills += 1;
-            self.push_trace(job, victim.vm, victim.slot, TaskEventKind::Killed);
+            self.obs.task(
+                self.clock,
+                job,
+                victim.vm,
+                victim.slot,
+                TaskEventKind::Killed,
+            );
             self.push_affected(job);
             if victim.speculated && self.twin_index(victim.uid, victim.backup_of).is_some() {
                 // The surviving copy carries the work.
@@ -2049,30 +1935,6 @@ impl<'a> Engine<'a> {
             }
         }
         self.stalled_error()
-    }
-
-    fn push_trace(&mut self, job: usize, vm: u32, slot: SlotKind, kind: TaskEventKind) {
-        let id = self.jobs[job].job.id;
-        if let Some(trace) = self.trace.as_mut() {
-            trace.events.push(TaskEvent {
-                time: self.clock,
-                job: id,
-                vm,
-                slot,
-                kind,
-            });
-        }
-        self.obs.task_counter(kind).inc();
-        if self.obs.col.enabled() {
-            self.obs.col.emit(
-                self.clock,
-                EventBody::Task {
-                    job: job as u32,
-                    vm,
-                    kind: task_kind_label(kind).to_string(),
-                },
-            );
-        }
     }
 
     fn release_slot(&mut self, vm: usize, slot: SlotKind) {
@@ -2194,7 +2056,8 @@ impl<'a> Engine<'a> {
                 self.release_tid(loser.tid);
                 self.release_slot(loser.vm as usize, loser.slot);
                 let job = loser.job;
-                self.push_trace(job, loser.vm, loser.slot, TaskEventKind::Killed);
+                self.obs
+                    .task(self.clock, job, loser.vm, loser.slot, TaskEventKind::Killed);
                 self.jobs[job].active -= 1;
                 self.jobs[job].kills += 1;
                 self.push_affected(job);
@@ -2234,7 +2097,8 @@ impl<'a> Engine<'a> {
             self.release_tid(task.tid);
             self.release_slot(task.vm as usize, task.slot);
             let job = task.job;
-            self.push_trace(job, task.vm, task.slot, TaskEventKind::Finished);
+            self.obs
+                .task(self.clock, job, task.vm, task.slot, TaskEventKind::Finished);
             self.jobs[job].active -= 1;
             if task.speculated {
                 self.st.winners.push((task.uid, task.backup_of));
@@ -2317,7 +2181,8 @@ impl<'a> Engine<'a> {
         let job = task.job;
         self.jobs[job].active -= 1;
         self.jobs[job].failures += 1;
-        self.push_trace(job, task.vm, task.slot, TaskEventKind::Failed);
+        self.obs
+            .task(self.clock, job, task.vm, task.slot, TaskEventKind::Failed);
         self.push_affected(job);
         if task.speculated && self.twin_index(task.uid, task.backup_of).is_some() {
             // The surviving copy carries the work; no retry needed.
@@ -2530,11 +2395,6 @@ pub(crate) fn nan_zero(x: f64) -> f64 {
     }
 }
 
-/// Convenience: ids of all jobs in the engine's table (test helper).
-pub fn job_ids(jobs: &[JobRun]) -> Vec<JobId> {
-    jobs.iter().map(|j| j.job.id).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2545,8 +2405,28 @@ mod tests {
     use cast_cloud::Catalog;
     use cast_workload::apps::AppKind;
     use cast_workload::dataset::DatasetId;
-    use cast_workload::job::Job;
+    use cast_workload::job::{Job, JobId};
     use cast_workload::profile::ProfileSet;
+
+    /// One task-lifecycle edge, read back from a recording collector.
+    #[derive(Debug, PartialEq)]
+    struct Edge {
+        t: f64,
+        vm: u32,
+        slot: String,
+        kind: String,
+    }
+
+    impl Edge {
+        /// Whether this edge puts a task onto a slot.
+        fn opens(&self) -> bool {
+            matches!(self.kind.as_str(), "started" | "retried" | "speculated")
+        }
+    }
+
+    fn count(edges: &[Edge], kind: &str) -> usize {
+        edges.iter().filter(|e| e.kind == kind).count()
+    }
 
     pub(crate) fn cfg(nvm: usize) -> SimConfig {
         let mut agg = PerTier::from_fn(|_| DataSize::ZERO);
@@ -2558,23 +2438,54 @@ mod tests {
         c
     }
 
-    fn run(app: AppKind, gb: f64, tier: Tier, c: &SimConfig) -> SimReport {
-        let profiles = ProfileSet::defaults();
-        let job = Job::with_default_layout(JobId(0), app, DatasetId(0), DataSize::from_gb(gb));
-        let jr = JobRun::new(job, JobPlacement::all_on(tier), *profiles.get(app), vec![]);
-        Engine::new(c, vec![jr]).run().unwrap()
+    fn sim(c: &SimConfig, jobs: Vec<JobRun>) -> Result<SimReport, SimError> {
+        Sim::builder(c).runs(jobs).build()?.run()
     }
 
-    pub(crate) fn try_run(
-        app: AppKind,
-        gb: f64,
-        tier: Tier,
-        c: &SimConfig,
-    ) -> Result<SimReport, SimError> {
+    fn single(app: AppKind, gb: f64, tier: Tier) -> Vec<JobRun> {
         let profiles = ProfileSet::defaults();
         let job = Job::with_default_layout(JobId(0), app, DatasetId(0), DataSize::from_gb(gb));
-        let jr = JobRun::new(job, JobPlacement::all_on(tier), *profiles.get(app), vec![]);
-        Engine::new(c, vec![jr]).run()
+        vec![JobRun::new(
+            job,
+            JobPlacement::all_on(tier),
+            *profiles.get(app),
+            vec![],
+        )]
+    }
+
+    fn run(app: AppKind, gb: f64, tier: Tier, c: &SimConfig) -> SimReport {
+        try_run(app, gb, tier, c).unwrap()
+    }
+
+    fn try_run(app: AppKind, gb: f64, tier: Tier, c: &SimConfig) -> Result<SimReport, SimError> {
+        sim(c, single(app, gb, tier))
+    }
+
+    /// [`run`] on a recording collector, also returning every task edge
+    /// in emission order.
+    fn run_recorded(app: AppKind, gb: f64, tier: Tier, c: &SimConfig) -> (SimReport, Vec<Edge>) {
+        let col = Collector::recording();
+        let report = Sim::builder(c)
+            .runs(single(app, gb, tier))
+            .collector(col.clone())
+            .build()
+            .unwrap()
+            .run()
+            .unwrap();
+        let edges = col
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.body {
+                EventBody::Task { vm, slot, kind, .. } => Some(Edge {
+                    t: e.t,
+                    vm,
+                    slot,
+                    kind,
+                }),
+                _ => None,
+            })
+            .collect();
+        (report, edges)
     }
 
     #[test]
@@ -2674,7 +2585,7 @@ mod tests {
                 )
             })
             .collect();
-        let report = Engine::new(&c, jobs).run().unwrap();
+        let report = sim(&c, jobs).unwrap();
         let a = report.job(JobId(0)).unwrap();
         let b = report.job(JobId(1)).unwrap();
         assert!(b.started.secs() >= a.finished.secs() - 1e-6);
@@ -2698,9 +2609,9 @@ mod tests {
                 vec![],
             )
         };
-        let seq = Engine::new(&c, vec![mk(0), mk(1)]).run().unwrap();
+        let seq = sim(&c, vec![mk(0), mk(1)]).unwrap();
         c.concurrency = Concurrency::Parallel;
-        let par = Engine::new(&c, vec![mk(0), mk(1)]).run().unwrap();
+        let par = sim(&c, vec![mk(0), mk(1)]).unwrap();
         let b = par.job(JobId(1)).unwrap();
         let a = par.job(JobId(0)).unwrap();
         assert!(
@@ -2744,7 +2655,7 @@ mod tests {
                 vec![0],
             ),
         ];
-        let report = Engine::new(&c, runs).run().unwrap();
+        let report = sim(&c, runs).unwrap();
         let a = report.job(JobId(0)).unwrap();
         let b = report.job(JobId(1)).unwrap();
         assert!(b.started.secs() >= a.finished.secs() - 1e-6);
@@ -2773,13 +2684,12 @@ mod tests {
             p.input = input;
             JobRun::new(job, p, *profiles.get(AppKind::Grep), vec![])
         };
-        let all_eph = Engine::new(
+        let all_eph = sim(
             &c,
             vec![mk(crate::placement::SplitPlacement::single(Tier::EphSsd))],
         )
-        .run()
         .unwrap();
-        let split = Engine::new(
+        let split = sim(
             &c,
             vec![mk(crate::placement::SplitPlacement::split(
                 Tier::EphSsd,
@@ -2787,7 +2697,6 @@ mod tests {
                 Tier::PersHdd,
             ))],
         )
-        .run()
         .unwrap();
         // Even with 90% of data on the fast tier, the slow-tier tasks
         // dominate the single map wave (Fig. 5b).
@@ -2818,7 +2727,7 @@ mod tests {
             *profiles.get(AppKind::Grep),
             vec![],
         );
-        let err = Engine::new(&c, vec![jr]).run().unwrap_err();
+        let err = sim(&c, vec![jr]).unwrap_err();
         match err {
             SimError::Stalled {
                 job, phase, tier, ..
@@ -2853,17 +2762,16 @@ mod tests {
     fn deterministic_under_faults() {
         let mut c = cfg(2);
         c.faults = FaultPlan::with_task_failures(0.3);
-        c.collect_trace = true;
-        let a = run(AppKind::Sort, 10.0, Tier::PersSsd, &c);
-        let b = run(AppKind::Sort, 10.0, Tier::PersSsd, &c);
+        let a = run_recorded(AppKind::Sort, 10.0, Tier::PersSsd, &c);
+        let b = run_recorded(AppKind::Sort, 10.0, Tier::PersSsd, &c);
         assert_eq!(a, b, "same plan + seed must be bit-identical");
+        let a = a.0;
         assert!(a.faults.task_failures > 0, "p=0.3 should hit some tasks");
     }
 
     #[test]
     fn task_failures_are_retried_to_completion() {
         let mut c = cfg(1);
-        c.collect_trace = true;
         let baseline = run(AppKind::Grep, 10.0, Tier::PersSsd, &c);
         c.faults = FaultPlan {
             // High failure rate with a budget deep enough that no task
@@ -2871,7 +2779,7 @@ mod tests {
             max_task_attempts: 8,
             ..FaultPlan::with_task_failures(0.5)
         };
-        let faulted = run(AppKind::Grep, 10.0, Tier::PersSsd, &c);
+        let (faulted, edges) = run_recorded(AppKind::Grep, 10.0, Tier::PersSsd, &c);
         assert!(faulted.faults.task_failures > 0);
         // Without crashes or speculation every failure schedules a retry.
         assert_eq!(faulted.faults.retries, faulted.faults.task_failures);
@@ -2881,15 +2789,11 @@ mod tests {
             faulted.makespan,
             baseline.makespan
         );
-        let trace = faulted.trace.as_ref().unwrap();
         assert_eq!(
-            trace.count(TaskEventKind::Failed),
+            count(&edges, "failed"),
             faulted.faults.task_failures as usize
         );
-        assert_eq!(
-            trace.count(TaskEventKind::Retried),
-            faulted.faults.retries as usize
-        );
+        assert_eq!(count(&edges, "retried"), faulted.faults.retries as usize);
         // Per-job counters roll up to the summary.
         let m = &faulted.jobs[0];
         assert_eq!(m.failures, faulted.faults.task_failures);
@@ -2924,7 +2828,6 @@ mod tests {
     fn vm_crash_finishes_via_reexecution() {
         let mut c = cfg(2);
         let baseline = run(AppKind::Grep, 10.0, Tier::PersSsd, &c);
-        c.collect_trace = true;
         c.faults = FaultPlan {
             vm_crashes: vec![VmCrash {
                 vm: 0,
@@ -2933,14 +2836,13 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let r = try_run(AppKind::Grep, 10.0, Tier::PersSsd, &c)
-            .expect("crash must be survivable, not a stall");
+        // A crash must be survivable, not a stall.
+        let (r, edges) = run_recorded(AppKind::Grep, 10.0, Tier::PersSsd, &c);
         assert_eq!(r.faults.vm_crashes, 1);
         assert!(r.faults.kills > 0, "resident tasks must be killed");
         assert!(r.faults.retries > 0, "killed tasks must be re-executed");
-        let trace = r.trace.as_ref().unwrap();
-        assert!(trace.count(TaskEventKind::Killed) > 0);
-        assert!(trace.count(TaskEventKind::Retried) > 0);
+        assert_eq!(count(&edges, "killed"), r.faults.kills as usize);
+        assert_eq!(count(&edges, "retried"), r.faults.retries as usize);
         assert!(
             r.makespan.secs() > baseline.makespan.secs(),
             "half the cluster is gone: {} vs {}",
@@ -2948,10 +2850,9 @@ mod tests {
             baseline.makespan
         );
         // Nothing ran on the dead VM after the crash.
-        assert!(trace
-            .events
+        assert!(edges
             .iter()
-            .filter(|e| e.time > 5.0 + 1e-9 && e.kind.opens())
+            .filter(|e| e.t > 5.0 + 1e-9 && e.opens())
             .all(|e| e.vm != 0));
     }
 
@@ -2966,15 +2867,10 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        c.collect_trace = true;
-        let r = run(AppKind::Sort, 20.0, Tier::PersSsd, &c);
-        let trace = r.trace.as_ref().unwrap();
+        let (_, edges) = run_recorded(AppKind::Sort, 20.0, Tier::PersSsd, &c);
         // Work lands on VM 0 again after recovery at t=25.
         assert!(
-            trace
-                .events
-                .iter()
-                .any(|e| e.vm == 0 && e.time > 25.0 && e.kind.opens()),
+            edges.iter().any(|e| e.vm == 0 && e.t > 25.0 && e.opens()),
             "recovered VM must take tasks again"
         );
     }
@@ -3054,12 +2950,11 @@ mod tests {
         without.faults = slow_vm.clone();
         let stuck = run(AppKind::Grep, 2.0, Tier::PersSsd, &without);
         let mut with = cfg(2);
-        with.collect_trace = true;
         with.faults = FaultPlan {
             speculation_threshold: 0.5,
             ..slow_vm
         };
-        let rescued = run(AppKind::Grep, 2.0, Tier::PersSsd, &with);
+        let (rescued, edges) = run_recorded(AppKind::Grep, 2.0, Tier::PersSsd, &with);
         assert!(rescued.faults.speculations > 0, "backups must launch");
         assert!(rescued.faults.kills > 0, "a race must have a loser");
         assert!(
@@ -3068,11 +2963,11 @@ mod tests {
             rescued.makespan,
             stuck.makespan
         );
-        let trace = rescued.trace.as_ref().unwrap();
         assert_eq!(
-            trace.count(TaskEventKind::Speculated),
+            count(&edges, "speculated"),
             rescued.faults.speculations as usize
         );
+        assert_eq!(count(&edges, "killed"), rescued.faults.kills as usize);
     }
 
     #[test]
@@ -3081,7 +2976,6 @@ mod tests {
         // kill, but the dead VM must never take work and the job must
         // still finish on the survivor.
         let mut c = cfg(2);
-        c.collect_trace = true;
         c.faults = FaultPlan {
             vm_crashes: vec![VmCrash {
                 vm: 0,
@@ -3090,17 +2984,12 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let r = try_run(AppKind::Grep, 10.0, Tier::PersSsd, &c)
-            .expect("a boot-time crash must be survivable");
+        // A boot-time crash must be survivable.
+        let (r, edges) = run_recorded(AppKind::Grep, 10.0, Tier::PersSsd, &c);
         assert_eq!(r.faults.vm_crashes, 1);
         assert_eq!(r.faults.kills, 0, "no resident tasks to kill at t=0");
-        let trace = r.trace.as_ref().unwrap();
         assert!(
-            trace
-                .events
-                .iter()
-                .filter(|e| e.kind.opens())
-                .all(|e| e.vm != 0),
+            edges.iter().filter(|e| e.opens()).all(|e| e.vm != 0),
             "dead-from-boot VM must never open a task"
         );
         // One VM doing all the work is slower than two.
@@ -3164,17 +3053,12 @@ mod tests {
              {overlapped} vs {quartered}"
         );
     }
-}
-
-#[cfg(test)]
-mod review_probe {
-    use super::tests::*;
-    use crate::fault::{DegradationWindow, FaultPlan};
-    use cast_cloud::tier::Tier;
-    use cast_workload::apps::AppKind;
 
     #[test]
     fn transient_full_outage_window() {
+        // Zero bandwidth for 5 s, then full recovery: the job waits the
+        // outage out instead of stalling, and finishes later for it.
+        let baseline = run(AppKind::Grep, 10.0, Tier::PersSsd, &cfg(1));
         let mut c = cfg(1);
         c.faults = FaultPlan {
             degradations: vec![DegradationWindow {
@@ -3182,16 +3066,18 @@ mod review_probe {
                 tier: Tier::PersSsd,
                 start_secs: 5.0,
                 end_secs: 10.0,
-                multiplier: 0.0, // full outage for 5s, then recovers
+                multiplier: 0.0,
             }],
             ..FaultPlan::default()
         };
-        let r = try_run(AppKind::Grep, 10.0, Tier::PersSsd, &c);
-        eprintln!(
-            "RESULT: {:?}",
-            r.as_ref().map(|x| x.makespan).map_err(|e| e.to_string())
+        let r = try_run(AppKind::Grep, 10.0, Tier::PersSsd, &c)
+            .expect("a transient outage must be survivable");
+        assert!(
+            r.makespan.secs() > baseline.makespan.secs(),
+            "{} vs {}",
+            r.makespan,
+            baseline.makespan
         );
-        assert!(r.is_ok(), "transient outage should be survivable");
     }
 }
 
@@ -3205,7 +3091,7 @@ mod scratch_tests {
     use cast_cloud::units::DataSize;
     use cast_workload::apps::AppKind;
     use cast_workload::dataset::DatasetId;
-    use cast_workload::job::Job;
+    use cast_workload::job::{Job, JobId};
     use cast_workload::profile::ProfileSet;
 
     fn jobs(n: usize) -> Vec<JobRun> {
@@ -3233,6 +3119,10 @@ mod scratch_tests {
             .collect()
     }
 
+    fn sim_stats(c: &SimConfig, jobs: Vec<JobRun>) -> Result<(SimReport, EngineStats), SimError> {
+        Sim::builder(c).runs(jobs).build()?.run_with_stats()
+    }
+
     fn faulty_cfg(nvm: usize) -> SimConfig {
         let mut c = cfg(nvm);
         c.faults = FaultPlan {
@@ -3252,12 +3142,20 @@ mod scratch_tests {
     fn scratch_reuse_does_zero_reallocation() {
         let c = cfg(4);
         let mut scratch = EngineScratch::new();
-        let (first, s1) = Engine::with_scratch(&c, jobs(6), &mut scratch)
+        let (first, s1) = Sim::builder(&c)
+            .runs(jobs(6))
+            .scratch(&mut scratch)
+            .build()
+            .unwrap()
             .run_with_stats()
             .unwrap();
         assert!(s1.scratch_reallocs > 0, "first run must size the scratch");
         for _ in 0..3 {
-            let (again, s2) = Engine::with_scratch(&c, jobs(6), &mut scratch)
+            let (again, s2) = Sim::builder(&c)
+                .runs(jobs(6))
+                .scratch(&mut scratch)
+                .build()
+                .unwrap()
                 .run_with_stats()
                 .unwrap();
             assert_eq!(
@@ -3272,13 +3170,21 @@ mod scratch_tests {
     #[test]
     fn scratch_runs_are_bit_identical_to_owned() {
         for c in [cfg(4), faulty_cfg(4)] {
-            let (owned, so) = Engine::new(&c, jobs(5)).run_with_stats().unwrap();
+            let (owned, so) = sim_stats(&c, jobs(5)).unwrap();
             let mut scratch = EngineScratch::new();
             // Prime the scratch with a different-shaped run first.
-            let _ = Engine::with_scratch(&cfg(2), jobs(2), &mut scratch)
+            let _ = Sim::builder(&cfg(2))
+                .runs(jobs(2))
+                .scratch(&mut scratch)
+                .build()
+                .unwrap()
                 .run_with_stats()
                 .unwrap();
-            let (reused, sr) = Engine::with_scratch(&c, jobs(5), &mut scratch)
+            let (reused, sr) = Sim::builder(&c)
+                .runs(jobs(5))
+                .scratch(&mut scratch)
+                .build()
+                .unwrap()
                 .run_with_stats()
                 .unwrap();
             assert_eq!(
@@ -3300,7 +3206,7 @@ mod scratch_tests {
     #[test]
     fn engine_stats_counters_are_populated() {
         let c = faulty_cfg(4);
-        let (_, stats) = Engine::new(&c, jobs(6)).run_with_stats().unwrap();
+        let (_, stats) = sim_stats(&c, jobs(6)).unwrap();
         assert!(stats.steps > 0);
         assert!(
             stats.dirty_drain_batches > 0,

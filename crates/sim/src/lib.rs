@@ -59,12 +59,11 @@ pub mod runner;
 pub mod sim;
 mod soa;
 pub mod task;
-pub mod trace;
 pub mod whatif;
 
 pub use config::SimConfig;
 pub use durability::{DurabilityReport, ShardState};
-pub use engine::{Engine, EngineScratch, EngineSnapshot, EngineStats, RunState, SNAPSHOT_VERSION};
+pub use engine::{EngineScratch, EngineSnapshot, EngineStats, RunState, SNAPSHOT_VERSION};
 pub use error::SimError;
 pub use fault::{DegradationWindow, FaultPlan, ShardKill, VmCrash};
 pub use metrics::{FaultSummary, JobMetrics, SimReport};

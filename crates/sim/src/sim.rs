@@ -7,10 +7,12 @@
 //! [`SimBuilder::build`] to lower the workload and obtain a live
 //! [`Sim`].
 //!
-//! A built [`Sim`] is a live engine: run it to completion ([`Sim::run`]),
-//! or advance it to a time horizon ([`Sim::run_until`]), snapshot it
-//! ([`Sim::snapshot`]), fork what-if candidates off the snapshot, and
-//! only then [`Sim::finish`] — the substrate for online replanning.
+//! A built [`Sim`] is the only handle to a live simulation: run it to
+//! completion ([`Sim::run`], or [`Sim::run_with_stats`] for execution
+//! statistics), or advance it to a time horizon ([`Sim::run_until`]),
+//! snapshot it ([`Sim::snapshot`]), fork what-if candidates off the
+//! snapshot ([`EngineSnapshot::fork`]), and only then run it to the end —
+//! the substrate for online replanning.
 
 use cast_obs::Collector;
 use cast_workload::spec::WorkloadSpec;
@@ -21,7 +23,7 @@ use crate::engine::{Engine, EngineScratch, EngineSnapshot, EngineStats, RunState
 use crate::error::SimError;
 use crate::jobrun::JobRun;
 use crate::metrics::SimReport;
-use crate::placement::PlacementMap;
+use crate::placement::{JobPlacement, PlacementMap};
 use crate::runner::{prepare_runs, MigrationSpec};
 
 /// Configures one simulation. Created by [`Sim::builder`]; every input
@@ -83,8 +85,7 @@ impl<'a> SimBuilder<'a> {
     /// Enable the durability pre-pass: run the fault plan's shard-loss
     /// timeline first and, when datasets are damaged, charge degraded
     /// readers reconstruction bandwidth and inject background repair
-    /// transfers. Retrieve the damage summary via [`Sim::run_durable`]
-    /// or [`Sim::durability`]. With no shard losses the simulation is
+    /// transfers. Retrieve the damage summary via [`Sim::durability`]. With no shard losses the simulation is
     /// bit-identical to a non-durable run.
     pub fn durability(mut self, enabled: bool) -> Self {
         self.durable = enabled;
@@ -123,19 +124,17 @@ impl<'a> SimBuilder<'a> {
             }
             (None, None) => panic!("Sim::builder needs .jobs(..) or .runs(..) before .build()"),
         };
-        let engine = match self.scratch {
-            Some(scratch) => Engine::observed_with_scratch(cfg, runs, self.collector, scratch),
-            None => Engine::observed(cfg, runs, self.collector),
-        };
+        let engine = Engine::new(cfg, runs, self.collector, self.scratch);
         Ok(Sim { engine, durability })
     }
 }
 
-/// A built, live simulation. Thin wrapper over [`Engine`] carrying the
-/// durability pre-pass result when one ran.
+/// A built, live simulation, carrying the durability pre-pass result
+/// when one ran. Created by [`SimBuilder::build`] or
+/// [`EngineSnapshot::fork`].
 pub struct Sim<'a> {
-    engine: Engine<'a>,
-    durability: Option<DurabilityReport>,
+    pub(crate) engine: Engine<'a>,
+    pub(crate) durability: Option<DurabilityReport>,
 }
 
 impl<'a> Sim<'a> {
@@ -152,38 +151,31 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Run to completion, producing per-job metrics.
+    /// Run whatever remains to completion, producing per-job metrics.
     pub fn run(self) -> Result<SimReport, SimError> {
-        self.engine.run()
+        self.engine.finish().map(|(report, _)| report)
     }
 
-    /// [`Sim::run`], also returning execution statistics.
+    /// [`Sim::run`], also returning execution statistics (step count,
+    /// for events/sec benchmarking, plus heap/allocation health
+    /// counters). Counters cover the whole run, including any prior
+    /// [`Sim::run_until`] segments and, on a fork, the parent's
+    /// pre-snapshot work.
     pub fn run_with_stats(self) -> Result<(SimReport, EngineStats), SimError> {
-        self.engine.run_with_stats()
+        self.engine.finish()
     }
 
-    /// Run to completion and return the report together with the
-    /// durability pre-pass summary (default-empty when the builder's
-    /// durability mode was off or the loss timeline did no damage).
-    pub fn run_durable(self) -> Result<(SimReport, DurabilityReport), SimError> {
-        let durability = self.durability.unwrap_or_default();
-        Ok((self.engine.run()?, durability))
-    }
-
-    /// Advance the simulation until the clock reaches `horizon` or the
-    /// workload finishes; see [`Engine::run_until`].
+    /// Advance the simulation until the clock reaches `horizon` (the
+    /// round that crosses it completes in full) or the workload
+    /// finishes, whichever comes first. The simulation stays live either
+    /// way: snapshot it, fork candidates, keep running. A run segmented
+    /// into `run_until` slices is bit-identical to an uninterrupted one.
     pub fn run_until(&mut self, horizon: f64) -> Result<RunState, SimError> {
         self.engine.run_until(horizon)
     }
 
-    /// Run whatever remains and produce the report plus statistics; see
-    /// [`Engine::finish`].
-    pub fn finish(self) -> Result<(SimReport, EngineStats), SimError> {
-        self.engine.finish()
-    }
-
-    /// Capture the complete live state as an [`EngineSnapshot`]; see
-    /// [`Engine::snapshot`].
+    /// Capture the complete live state as an [`EngineSnapshot`]: cost is
+    /// O(live state), and the simulation keeps running.
     pub fn snapshot(&self) -> EngineSnapshot {
         self.engine.snapshot()
     }
@@ -198,15 +190,21 @@ impl<'a> Sim<'a> {
         self.durability.as_ref()
     }
 
-    /// The underlying engine, for snapshot/fork orchestration that needs
-    /// engine-level APIs ([`Engine::set_placement`], [`Engine::jobs`]).
-    pub fn engine(&self) -> &Engine<'a> {
-        &self.engine
+    /// The job runs (placements, phases, progress counters), in engine
+    /// order.
+    pub fn jobs(&self) -> &[JobRun] {
+        self.engine.jobs()
     }
 
-    /// Mutable access to the underlying engine.
-    pub fn engine_mut(&mut self) -> &mut Engine<'a> {
-        &mut self.engine
+    /// Swap the placement of the still-waiting job at index `job` of
+    /// [`Sim::jobs`] — the what-if lever for candidate-plan scoring on a
+    /// fork. Waiting jobs have generated no task templates yet, so the
+    /// swap is exact: the simulation behaves as if the job had been
+    /// prepared with this placement from the start. Jobs past waiting
+    /// have work derived from their old placement in flight and fail
+    /// with [`SimError::PlacementLocked`].
+    pub fn set_placement(&mut self, job: usize, placement: JobPlacement) -> Result<(), SimError> {
+        self.engine.set_placement(job, placement)
     }
 }
 
@@ -259,8 +257,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(sim.durability(), Some(&DurabilityReport::default()));
-        let (_, report) = sim.run_durable().unwrap();
-        assert_eq!(report, DurabilityReport::default());
     }
 
     #[test]
@@ -295,7 +291,7 @@ mod tests {
         while sim.run_until(horizon)? == RunState::Running {
             horizon *= 2.0;
         }
-        let segmented = sim.finish().unwrap();
+        let segmented = sim.run_with_stats().unwrap();
         assert_eq!(
             serde_json::to_string(&full.0).unwrap(),
             serde_json::to_string(&segmented.0).unwrap()

@@ -40,6 +40,17 @@ pub enum SlotKind {
     Transfer,
 }
 
+impl SlotKind {
+    /// Short name, e.g. `"map"` (the `slot` label of task trace events).
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            SlotKind::Map => "map",
+            SlotKind::Reduce => "reduce",
+            SlotKind::Transfer => "transfer",
+        }
+    }
+}
+
 /// Unbound stage description (no VM assigned yet).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StageSpec {

@@ -5,12 +5,12 @@
 //! that have not started yet. Two scoring backends share one candidate
 //! semantics ("redirect still-waiting jobs at the replan horizon"):
 //!
-//! * [`score_cold`] — the pre-snapshot way: one fresh engine per
+//! * [`score_cold`] — the pre-snapshot way: one fresh simulation per
 //!   candidate, re-simulating from the epoch boundary up to the horizon
 //!   before applying the overrides. O(candidates × full-run).
 //! * [`score_forked`] — simulate the shared prefix once, snapshot, and
-//!   fork one engine per candidate ([`EngineSnapshot::fork`]); each fork
-//!   scores only the tail. O(full-run + candidates × tail).
+//!   fork one simulation per candidate ([`EngineSnapshot::fork`]); each
+//!   fork scores only the tail. O(full-run + candidates × tail).
 //!
 //! Fork equivalence (a fork resumes bit-identically to an uninterrupted
 //! run) guarantees the two backends return byte-identical reports, so
@@ -24,12 +24,13 @@ use std::cmp::Ordering;
 use cast_workload::job::JobId;
 
 use crate::config::SimConfig;
-use crate::engine::{Engine, EngineSnapshot};
+use crate::engine::EngineSnapshot;
 use crate::error::SimError;
 use crate::jobrun::{JobPhase, JobRun};
 use crate::metrics::SimReport;
 use crate::par::run_indexed;
 use crate::placement::JobPlacement;
+use crate::sim::Sim;
 
 /// One placement override inside a candidate plan: redirect `job` to
 /// `placement` — applied only if the job is still waiting at the replan
@@ -42,21 +43,21 @@ pub struct CandidateOverride {
     pub placement: JobPlacement,
 }
 
-/// Apply a candidate's overrides to a live engine. Jobs past `Waiting`
-/// (or absent from the run table) are skipped — deterministically, since
-/// phase-at-horizon is itself deterministic.
-fn apply_candidate(eng: &mut Engine<'_>, overrides: &[CandidateOverride]) {
+/// Apply a candidate's overrides to a live simulation. Jobs past
+/// `Waiting` (or absent from the run table) are skipped —
+/// deterministically, since phase-at-horizon is itself deterministic.
+fn apply_candidate(sim: &mut Sim<'_>, overrides: &[CandidateOverride]) {
     for o in overrides {
-        if let Some(idx) = eng.jobs().iter().position(|r| r.job.id == o.job) {
-            if eng.jobs()[idx].phase == JobPhase::Waiting {
-                eng.set_placement(idx, o.placement.clone())
+        if let Some(idx) = sim.jobs().iter().position(|r| r.job.id == o.job) {
+            if sim.jobs()[idx].phase == JobPhase::Waiting {
+                sim.set_placement(idx, o.placement.clone())
                     .expect("waiting job accepts placement");
             }
         }
     }
 }
 
-/// Cold-restart scoring: per candidate, a fresh engine over a clone of
+/// Cold-restart scoring: per candidate, a fresh simulation over a clone of
 /// `runs` advances to `horizon`, applies the overrides, and runs to
 /// completion. The shared prefix is re-simulated once per candidate —
 /// this is the baseline [`score_forked`] eliminates.
@@ -68,10 +69,10 @@ pub fn score_cold(
     workers: usize,
 ) -> Result<Vec<SimReport>, SimError> {
     run_indexed(workers, candidates.len(), |i| {
-        let mut eng = Engine::new(cfg, runs.to_vec());
-        eng.run_until(horizon)?;
-        apply_candidate(&mut eng, &candidates[i]);
-        eng.finish().map(|(report, _)| report)
+        let mut sim = Sim::builder(cfg).runs(runs.to_vec()).build()?;
+        sim.run_until(horizon)?;
+        apply_candidate(&mut sim, &candidates[i]);
+        sim.run()
     })
     .into_iter()
     .collect()
@@ -86,9 +87,9 @@ pub fn score_forked(
     workers: usize,
 ) -> Result<Vec<SimReport>, SimError> {
     run_indexed(workers, candidates.len(), |i| {
-        let mut eng = snapshot.fork();
-        apply_candidate(&mut eng, &candidates[i]);
-        eng.finish().map(|(report, _)| report)
+        let mut sim = snapshot.fork();
+        apply_candidate(&mut sim, &candidates[i]);
+        sim.run()
     })
     .into_iter()
     .collect()
@@ -161,7 +162,7 @@ mod tests {
         let (runs, cfg, candidates) = setup();
         let horizon = 60.0;
         let cold = score_cold(&cfg, &runs, &candidates, horizon, 2).unwrap();
-        let mut live = Engine::new(&cfg, runs.clone());
+        let mut live = Sim::builder(&cfg).runs(runs.clone()).build().unwrap();
         live.run_until(horizon).unwrap();
         let snap = live.snapshot();
         let forked = score_forked(&snap, &candidates, 2).unwrap();
@@ -175,7 +176,7 @@ mod tests {
     #[test]
     fn winner_is_stable_across_worker_counts() {
         let (runs, cfg, candidates) = setup();
-        let mut live = Engine::new(&cfg, runs.clone());
+        let mut live = Sim::builder(&cfg).runs(runs.clone()).build().unwrap();
         live.run_until(45.0).unwrap();
         let snap = live.snapshot();
         let baseline = score_forked(&snap, &candidates, 1).unwrap();
@@ -193,7 +194,12 @@ mod tests {
     #[test]
     fn pick_winner_ties_break_low() {
         let (runs, cfg, _) = setup();
-        let report = Engine::new(&cfg, runs).run().unwrap();
+        let report = Sim::builder(&cfg)
+            .runs(runs)
+            .build()
+            .unwrap()
+            .run()
+            .unwrap();
         let same = vec![report.clone(), report];
         assert_eq!(pick_winner(&same), Some(0));
         assert_eq!(pick_winner(&[]), None);

@@ -5,6 +5,7 @@
 use cast_cloud::tier::{PerTier, Tier};
 use cast_cloud::units::DataSize;
 use cast_cloud::Catalog;
+use cast_obs::{Collector, EventBody};
 use cast_sim::config::{Concurrency, SimConfig};
 use cast_sim::metrics::SimReport;
 use cast_sim::placement::{JobPlacement, PlacementMap};
@@ -210,28 +211,60 @@ fn empty_workload_completes_instantly() {
 #[test]
 fn trace_accounts_every_task() {
     let spec = synth::single_job(AppKind::Sort, DataSize::from_gb(10.0));
-    let mut cfg = cfg_with(2, 500.0);
-    cfg.collect_trace = true;
+    let cfg = cfg_with(2, 500.0);
     let placements = PlacementMap::uniform([JobId(0)], Tier::PersSsd);
-    let report = simulate(&spec, &placements, &cfg).expect("sim");
-    let trace = report.trace.as_ref().expect("trace collected");
-    use cast_sim::task::SlotKind;
+    let col = Collector::recording();
+    let report = Sim::builder(&cfg)
+        .jobs(&spec, &placements)
+        .collector(col.clone())
+        .build()
+        .and_then(Sim::run)
+        .expect("sim");
+    // Task edges in emission order: (time, job, vm, slot, kind).
+    let edges: Vec<(f64, u32, u32, String, String)> = col
+        .events()
+        .into_iter()
+        .filter_map(|e| match e.body {
+            EventBody::Task {
+                job,
+                vm,
+                slot,
+                kind,
+            } => Some((e.t, job, vm, slot, kind)),
+            _ => None,
+        })
+        .collect();
+    let started = |slot: &str| {
+        edges
+            .iter()
+            .filter(|e| e.3 == slot && e.4 == "started")
+            .count()
+    };
     let job = &spec.jobs[0];
-    assert_eq!(trace.task_count(SlotKind::Map), job.maps);
-    assert_eq!(trace.task_count(SlotKind::Reduce), job.reduces);
+    assert_eq!(started("map"), job.maps);
+    assert_eq!(started("reduce"), job.reduces);
+    // Busy slot-seconds and peak concurrency of a slot pool: a task
+    // occupies its slot from the edge that opens it to the first later
+    // edge of the same (job, vm) that closes it.
+    let occupancy = |slot: &str| {
+        let mut open: Vec<(u32, u32, f64)> = Vec::new();
+        let (mut busy, mut peak) = (0.0, 0);
+        for (t, job, vm, _, kind) in edges.iter().filter(|e| e.3 == slot) {
+            if matches!(kind.as_str(), "started" | "retried" | "speculated") {
+                open.push((*job, *vm, *t));
+                peak = peak.max(open.len());
+            } else if let Some(i) = open.iter().position(|o| (o.0, o.1) == (*job, *vm)) {
+                busy += t - open.remove(i).2;
+            }
+        }
+        (busy, peak)
+    };
+    let (map_busy, map_peak) = occupancy("map");
+    let (_, reduce_peak) = occupancy("reduce");
     // Busy time fits within the slot budget over the makespan.
-    let map_util = trace.utilization(SlotKind::Map, cfg.map_slots(), report.makespan.secs());
+    let map_util = map_busy / (cfg.map_slots() as f64 * report.makespan.secs());
     assert!(map_util > 0.0 && map_util <= 1.0, "{map_util}");
     // Peak concurrency never exceeds the slot pool.
-    assert!(trace.peak_concurrency(SlotKind::Map) <= cfg.map_slots());
-    assert!(trace.peak_concurrency(SlotKind::Reduce) <= cfg.reduce_slots());
-}
-
-#[test]
-fn trace_is_off_by_default() {
-    let spec = synth::single_job(AppKind::Grep, DataSize::from_gb(5.0));
-    let cfg = cfg_with(1, 500.0);
-    let placements = PlacementMap::uniform([JobId(0)], Tier::PersSsd);
-    let report = simulate(&spec, &placements, &cfg).expect("sim");
-    assert!(report.trace.is_none());
+    assert!(map_peak <= cfg.map_slots());
+    assert!(reduce_peak <= cfg.reduce_slots());
 }

@@ -3,8 +3,8 @@
 //!
 //! The reference stepper ([`cast_sim::reference::ReferenceEngine`], behind
 //! the default-on `reference-engine` feature) recomputes every rate and
-//! advances every task on every event; the production engine
-//! ([`cast_sim::engine::Engine`]) does incremental work driven by the
+//! advances every task on every event; the production engine (run
+//! through [`cast_sim::Sim`]) does incremental work driven by the
 //! share registry's dirty-set and a completion heap. Both must simulate
 //! the same cluster: across randomized workloads, placements, cluster
 //! sizes and fault plans they agree within 1e-6 relative on makespan and
@@ -19,11 +19,11 @@ use cast_cloud::tier::{PerTier, Tier};
 use cast_cloud::units::DataSize;
 use cast_cloud::Catalog;
 use cast_sim::config::Concurrency;
-use cast_sim::engine::Engine;
+use cast_sim::jobrun::JobRun;
 use cast_sim::metrics::SimReport;
 use cast_sim::reference::ReferenceEngine;
 use cast_sim::{
-    prepare_runs, DegradationWindow, FaultPlan, PlacementMap, SimConfig, SimError, VmCrash,
+    prepare_runs, DegradationWindow, FaultPlan, PlacementMap, Sim, SimConfig, SimError, VmCrash,
 };
 use cast_workload::apps::AppKind;
 use cast_workload::dataset::{Dataset, DatasetId};
@@ -70,7 +70,6 @@ fn build(scenario: &Scenario) -> (WorkloadSpec, PlacementMap, SimConfig) {
         SimConfig::with_aggregate_capacity(Catalog::google_cloud(), scenario.nvm, &agg).unwrap();
     cfg.jitter = scenario.jitter;
     cfg.concurrency = scenario.concurrency;
-    cfg.collect_trace = false;
     cfg.faults = FaultPlan {
         task_failure_prob: scenario.failure_prob,
         speculation_threshold: scenario.speculation,
@@ -99,10 +98,15 @@ fn build(scenario: &Scenario) -> (WorkloadSpec, PlacementMap, SimConfig) {
     (spec, placements, cfg)
 }
 
+/// The production engine over pre-lowered runs.
+fn run_engine(cfg: &SimConfig, runs: Vec<JobRun>) -> Result<SimReport, SimError> {
+    Sim::builder(cfg).runs(runs).build()?.run()
+}
+
 fn run_both(scenario: &Scenario) -> (Result<SimReport, SimError>, Result<SimReport, SimError>) {
     let (spec, placements, cfg) = build(scenario);
     let runs = prepare_runs(&spec, &placements, &[], &cfg).unwrap();
-    let new = Engine::new(&cfg, runs.clone()).run();
+    let new = run_engine(&cfg, runs.clone());
     let reference = ReferenceEngine::new(&cfg, runs).run();
     (new, reference)
 }
@@ -224,8 +228,8 @@ proptest! {
     fn new_engine_is_deterministic(scenario in scenario_strategy()) {
         let (spec, placements, cfg) = build(&scenario);
         let runs = prepare_runs(&spec, &placements, &[], &cfg).unwrap();
-        let first = Engine::new(&cfg, runs.clone()).run();
-        let second = Engine::new(&cfg, runs).run();
+        let first = run_engine(&cfg, runs.clone());
+        let second = run_engine(&cfg, runs);
         match (first, second) {
             (Ok(a), Ok(b)) => {
                 prop_assert_eq!(
@@ -265,9 +269,13 @@ fn recording_collector_does_not_perturb_results() {
     };
     let (spec, placements, cfg) = build(&scenario);
     let runs = prepare_runs(&spec, &placements, &[], &cfg).unwrap();
-    let quiet = Engine::new(&cfg, runs.clone()).run().unwrap();
+    let quiet = run_engine(&cfg, runs.clone()).unwrap();
     let recorder = cast_obs::Collector::recording();
-    let observed = Engine::observed(&cfg, runs, recorder.clone())
+    let observed = Sim::builder(&cfg)
+        .runs(runs)
+        .collector(recorder.clone())
+        .build()
+        .unwrap()
         .run()
         .unwrap();
     assert_eq!(
@@ -303,7 +311,12 @@ fn event_engine_matches_reference_on_a_dense_workload() {
     };
     let (spec, placements, cfg) = build(&scenario);
     let runs = prepare_runs(&spec, &placements, &[], &cfg).unwrap();
-    let (a, _) = Engine::new(&cfg, runs.clone()).run_with_stats().unwrap();
+    let (a, _) = Sim::builder(&cfg)
+        .runs(runs.clone())
+        .build()
+        .unwrap()
+        .run_with_stats()
+        .unwrap();
     let (b, _) = ReferenceEngine::new(&cfg, runs).run_with_stats().unwrap();
     assert!(
         close(a.makespan.secs(), b.makespan.secs()),

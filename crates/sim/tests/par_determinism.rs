@@ -15,9 +15,8 @@ use proptest::prelude::*;
 use cast_cloud::tier::{PerTier, Tier};
 use cast_cloud::units::DataSize;
 use cast_cloud::Catalog;
-use cast_sim::engine::Engine;
 use cast_sim::par;
-use cast_sim::{prepare_runs, FaultPlan, PlacementMap, SimConfig, VmCrash};
+use cast_sim::{prepare_runs, FaultPlan, PlacementMap, Sim, SimConfig, VmCrash};
 use cast_workload::apps::AppKind;
 use cast_workload::dataset::{Dataset, DatasetId};
 use cast_workload::job::{Job, JobId};
@@ -59,7 +58,6 @@ fn build(rs: &RunSpec) -> (WorkloadSpec, PlacementMap, SimConfig) {
     }
     let mut cfg =
         SimConfig::with_aggregate_capacity(Catalog::google_cloud(), rs.nvm, &agg).unwrap();
-    cfg.collect_trace = false;
     cfg.faults = FaultPlan {
         task_failure_prob: rs.failure_prob,
         seed: rs.seed,
@@ -88,7 +86,7 @@ fn run_one(batch: &[RunSpec], i: usize) -> String {
         .wrapping_mul(0x9e3779b97f4a7c15);
     let (spec, placements, cfg) = build(&rs);
     let runs = prepare_runs(&spec, &placements, &[], &cfg).unwrap();
-    match Engine::new(&cfg, runs).run() {
+    match Sim::builder(&cfg).runs(runs).build().and_then(Sim::run) {
         Ok(report) => format!("{report:?}"),
         Err(e) => format!("error: {e:?}"),
     }

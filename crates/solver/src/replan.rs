@@ -17,12 +17,12 @@ use serde::{Deserialize, Serialize};
 
 use cast_cloud::tier::Tier;
 use cast_sim::config::SimConfig;
-use cast_sim::engine::Engine;
 use cast_sim::error::SimError;
 use cast_sim::jobrun::JobRun;
 use cast_sim::metrics::SimReport;
 use cast_sim::placement::JobPlacement;
 use cast_sim::whatif::{pick_winner, score_cold, score_forked, CandidateOverride};
+use cast_sim::Sim;
 use cast_workload::spec::WorkloadSpec;
 
 /// How an epoch's candidate plans are scored at the replan point.
@@ -118,7 +118,7 @@ pub fn score_candidates(
         }
         CandidateScoring::SimCold => score_cold(cfg, &runs, candidates, horizon, workers)?,
         CandidateScoring::ForkLive => {
-            let mut live = Engine::new(cfg, runs);
+            let mut live = Sim::builder(cfg).runs(runs).build()?;
             live.run_until(horizon)?;
             let snapshot = live.snapshot();
             score_forked(&snapshot, candidates, workers)?

@@ -135,7 +135,7 @@ fn main() {
         })
         .collect();
     let scored = cast::sim::score_forked(&snapshot, &[candidate], 2).expect("what-if scoring");
-    let (committed, _) = live.finish().expect("live run");
+    let committed = live.run().expect("live run");
     println!(
         "\nwhat-if at t={replan_at:.0}s: committed plan finishes at {:.0}s, \
          all-{target} fork at {:.0}s",

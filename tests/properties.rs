@@ -168,7 +168,7 @@ proptest! {
         crash_at in 5.0f64..120.0,
         frac in 0.0f64..1.0,
     ) {
-        use cast::sim::{prepare_runs, Engine, MigrationSpec};
+        use cast::sim::{prepare_runs, MigrationSpec};
 
         let mut cfg = sim_config(2);
         cfg.faults = FaultPlan {
@@ -195,12 +195,16 @@ proptest! {
         }];
         let runs = prepare_runs(&spec, &placements, &migrations, &cfg).expect("lowering");
 
-        let (fresh, _) = Engine::new(&cfg, runs.clone()).finish().expect("fresh run");
+        let fresh = Sim::builder(&cfg)
+            .runs(runs.clone())
+            .build()
+            .and_then(Sim::run)
+            .expect("fresh run");
 
-        let mut live = Engine::new(&cfg, runs);
+        let mut live = Sim::builder(&cfg).runs(runs).build().expect("lowered runs");
         live.run_until(fresh.makespan.secs() * frac).expect("prefix");
         let snapshot = live.snapshot();
-        let (forked, _) = snapshot.fork().finish().expect("forked run");
+        let forked = snapshot.fork().run().expect("forked run");
 
         prop_assert_eq!(
             serde_json::to_string(&fresh).expect("serializable"),
