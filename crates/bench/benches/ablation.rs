@@ -44,7 +44,8 @@ fn ablation_placement_granularity(c: &mut Criterion) {
         let mut placement = JobPlacement::all_on(Tier::EphSsd);
         placement.stage_in_from = None;
         placement.stage_out_to = None;
-        placement.input = SplitPlacement::split(Tier::EphSsd, frac, Tier::PersHdd);
+        placement.input =
+            SplitPlacement::split(Tier::EphSsd, frac, Tier::PersHdd).expect("fraction in [0, 1]");
         let mut placements = PlacementMap::new();
         placements.set(JobId(0), placement);
         let runtime = Sim::builder(&cfg)

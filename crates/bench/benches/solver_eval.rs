@@ -79,8 +79,9 @@ fn bench_rescore(c: &mut Criterion) {
         let mut moves = Vec::new();
         let mut undo = Vec::new();
         b.iter(|| {
-            gen.propose(|j| state.assignment(j), &mut rng, None, &mut moves);
-            state.apply(&moves, &mut undo);
+            let current = state.assignments();
+            gen.propose(|p| Some(current[p]), &mut rng, None, &mut moves);
+            state.apply(&moves, &mut undo).expect("grid move");
             let score = state.score().expect("score");
             state.restore(&undo);
             black_box(score)

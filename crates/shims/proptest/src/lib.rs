@@ -3,9 +3,11 @@
 //! tuple / collection / sample strategies, `prop_map` / `prop_flat_map`,
 //! and the `prop_assert*` family).
 //!
-//! No shrinking: a failing case reports its inputs via the panic message
-//! of the assertion that fired. Sampling is seeded with a fixed constant,
-//! so test runs are reproducible.
+//! No shrinking: a failing case reports its inputs and the sampling seed
+//! via the panic message of the assertion that fired. Sampling is seeded
+//! with a fixed constant, so test runs are reproducible; set
+//! `PROPTEST_SEED` to sample other cases and `PROPTEST_CASES` to change
+//! how many run (it overrides every block's configured count).
 
 pub mod collection;
 pub mod sample;
@@ -55,11 +57,12 @@ macro_rules! __proptest_items {
     ) => {
         $(#[$meta])*
         fn $name() {
-            let __cfg = $cfg;
-            let mut __rng = $crate::test_runner::TestRng::deterministic();
+            let __cases = $crate::test_runner::ProptestConfig::effective_cases(&$cfg);
+            let __seed = $crate::test_runner::seed();
+            let mut __rng = $crate::test_runner::TestRng::from_seed(__seed);
             let mut __ran: u32 = 0;
             let mut __attempts: u32 = 0;
-            while __ran < __cfg.cases && __attempts < __cfg.cases * 16 {
+            while __ran < __cases && __attempts < __cases.saturating_mul(16) {
                 __attempts += 1;
                 let __vals = ($($crate::strategy::Strategy::sample(&$strat, &mut __rng),)+);
                 let __inputs = format!(
@@ -79,14 +82,14 @@ macro_rules! __proptest_items {
                     Err($crate::test_runner::TestCaseError::Reject) => {}
                     Err($crate::test_runner::TestCaseError::Fail(msg)) => {
                         panic!(
-                            "property `{}` failed after {} cases: {}\n  inputs: {}",
-                            stringify!($name), __ran, msg, __inputs
+                            "property `{}` failed after {} cases (PROPTEST_SEED={:#x}): {}\n  inputs: {}",
+                            stringify!($name), __ran, __seed, msg, __inputs
                         );
                     }
                 }
             }
             assert!(
-                __ran > 0,
+                __cases == 0 || __ran > 0,
                 "property `{}`: every generated case was rejected by prop_assume!",
                 stringify!($name)
             );

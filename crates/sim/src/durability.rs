@@ -170,7 +170,14 @@ fn apply_loss_timeline(
             }
         }
     }
-    edges.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+    // Times are validated finite where the plan enters
+    // (`durability_prepass`); the total-order fallback keeps the sort
+    // panic-free for any input.
+    edges.sort_by(|a, b| {
+        a.0.partial_cmp(&b.0)
+            .unwrap_or_else(|| a.0.total_cmp(&b.0))
+            .then(a.1.cmp(&b.1))
+    });
 
     for (at, dataset, shards) in edges {
         let Some(&i) = index.get(&dataset) else {
@@ -436,6 +443,52 @@ mod tests {
                 tolerance: 2,
             }
         ));
+    }
+
+    #[test]
+    fn non_finite_fault_times_are_typed_errors() {
+        let (spec, placements) = ec_spec_and_placement();
+        for at in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let kill = FaultPlan {
+                shard_kills: vec![
+                    ShardKill {
+                        dataset: 0,
+                        at_secs: 1.0,
+                        shards: 1,
+                    },
+                    ShardKill {
+                        dataset: 0,
+                        at_secs: at,
+                        shards: 1,
+                    },
+                ],
+                ..FaultPlan::default()
+            };
+            let crash = FaultPlan {
+                vm_crashes: vec![VmCrash {
+                    vm: 0,
+                    at_secs: at,
+                    down_secs: None,
+                }],
+                ..FaultPlan::default()
+            };
+            for faults in [kill, crash] {
+                let cfg = cfg_with(Catalog::with_ec_cold_tier(), 2, faults);
+                // Rejected where the plan enters: the durable build's
+                // pre-pass, before any loss timeline is sorted.
+                let built = Sim::builder(&cfg)
+                    .jobs(&spec, &placements)
+                    .durability(true)
+                    .build();
+                match built {
+                    Err(SimError::InvalidFaultPlan { reason }) => {
+                        assert!(reason.contains("time"), "{reason}")
+                    }
+                    Err(e) => panic!("fault time {at}: wrong error {e:?}"),
+                    Ok(_) => panic!("fault time {at}: the durable build accepted it"),
+                }
+            }
+        }
     }
 
     #[test]

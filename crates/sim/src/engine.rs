@@ -2695,7 +2695,8 @@ mod tests {
                 Tier::EphSsd,
                 0.9,
                 Tier::PersHdd,
-            ))],
+            )
+            .unwrap())],
         )
         .unwrap();
         // Even with 90% of data on the fast tier, the slow-tier tasks

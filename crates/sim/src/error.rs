@@ -16,6 +16,9 @@ pub enum SimError {
     },
     /// A placement's input split fractions are invalid.
     InvalidSplit(u32),
+    /// A two-tier input split was asked for a fraction outside `[0, 1]`
+    /// (or NaN).
+    InvalidSplitFraction(f64),
     /// The engine made no progress. Carries whatever is known about the
     /// blocking work so a zero-bandwidth placement (or a cluster that
     /// never recovers) is diagnosable from the error alone.
@@ -136,6 +139,9 @@ impl fmt::Display for SimError {
                 "job #{job} is already in phase {phase}: placements can only \
                  be swapped while a job is waiting"
             ),
+            SimError::InvalidSplitFraction(frac) => {
+                write!(f, "split fraction {frac} is outside [0, 1]")
+            }
             SimError::InvalidFaultPlan { reason } => {
                 write!(f, "invalid fault plan: {reason}")
             }

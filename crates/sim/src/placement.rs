@@ -11,6 +11,8 @@ use std::collections::HashMap;
 use cast_cloud::tier::Tier;
 use cast_workload::job::JobId;
 
+use crate::error::SimError;
+
 /// Input placement: fractions of the input dataset per tier.
 ///
 /// CAST itself always places a whole job on one tier (§3.2's
@@ -30,18 +32,21 @@ impl SplitPlacement {
         }
     }
 
-    /// A two-tier split: `frac` on `a`, the rest on `b`.
-    pub fn split(a: Tier, frac: f64, b: Tier) -> SplitPlacement {
-        assert!((0.0..=1.0).contains(&frac), "fraction out of range");
-        if frac >= 1.0 {
+    /// A two-tier split: `frac` on `a`, the rest on `b`. A fraction
+    /// outside `[0, 1]`, or NaN, is [`SimError::InvalidSplitFraction`].
+    pub fn split(a: Tier, frac: f64, b: Tier) -> Result<SplitPlacement, SimError> {
+        if !(0.0..=1.0).contains(&frac) {
+            return Err(SimError::InvalidSplitFraction(frac));
+        }
+        Ok(if frac == 1.0 {
             SplitPlacement::single(a)
-        } else if frac <= 0.0 {
+        } else if frac == 0.0 {
             SplitPlacement::single(b)
         } else {
             SplitPlacement {
                 parts: vec![(a, frac), (b, 1.0 - frac)],
             }
-        }
+        })
     }
 
     /// The tier holding the largest share (the "primary" tier).
@@ -188,19 +193,33 @@ mod tests {
 
     #[test]
     fn split_placement_math() {
-        let p = SplitPlacement::split(Tier::EphSsd, 0.9, Tier::PersHdd);
+        let p = SplitPlacement::split(Tier::EphSsd, 0.9, Tier::PersHdd).unwrap();
         assert!(p.is_valid());
         assert_eq!(p.primary(), Tier::EphSsd);
-        let q = SplitPlacement::split(Tier::EphSsd, 0.3, Tier::PersHdd);
+        let q = SplitPlacement::split(Tier::EphSsd, 0.3, Tier::PersHdd).unwrap();
         assert_eq!(q.primary(), Tier::PersHdd);
     }
 
     #[test]
     fn degenerate_split_collapses() {
-        let p = SplitPlacement::split(Tier::EphSsd, 1.0, Tier::PersHdd);
+        let p = SplitPlacement::split(Tier::EphSsd, 1.0, Tier::PersHdd).unwrap();
         assert_eq!(p.parts.len(), 1);
-        let q = SplitPlacement::split(Tier::EphSsd, 0.0, Tier::PersHdd);
+        let q = SplitPlacement::split(Tier::EphSsd, 0.0, Tier::PersHdd).unwrap();
         assert_eq!(q.parts, vec![(Tier::PersHdd, 1.0)]);
+        let z = SplitPlacement::split(Tier::EphSsd, -0.0, Tier::PersHdd).unwrap();
+        assert_eq!(z.parts, vec![(Tier::PersHdd, 1.0)]);
+    }
+
+    #[test]
+    fn out_of_range_split_fractions_are_typed_errors() {
+        for frac in [f64::NAN, -0.1, 1.5, f64::INFINITY, f64::NEG_INFINITY] {
+            match SplitPlacement::split(Tier::EphSsd, frac, Tier::PersHdd) {
+                Err(SimError::InvalidSplitFraction(f)) => {
+                    assert_eq!(f.to_bits(), frac.to_bits())
+                }
+                other => panic!("fraction {frac}: expected a typed error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -11,10 +11,12 @@
 //! Two performance properties of this implementation matter (see
 //! DESIGN.md "Solver performance"):
 //!
-//! * the inner loop never materialises a neighbour plan — moves are
-//!   applied in place and undone on rejection, and utility-mode solves
-//!   score through [`IncrementalEval`]'s ledger + memo instead of a full
-//!   [`evaluate`] per neighbour (bit-identical scores, same trajectory);
+//! * the inner loop never materialises a neighbour plan — moves address
+//!   jobs by position, are applied in place and undone on rejection, and
+//!   utility-mode solves score through [`IncrementalEval`]'s ledger +
+//!   memo instead of a full [`evaluate`] per neighbour (bit-identical
+//!   scores, same trajectory); an empty move (an over-provisioning nudge
+//!   past the grid edge) reuses the current score instead of rescoring;
 //! * `restarts > 1` runs N independent annealing chains on the
 //!   [`cast_sim::par`] worker pool (index-claimed, capped at the
 //!   machine's parallelism instead of one thread per restart), each
@@ -24,6 +26,7 @@
 
 use cast_obs::{Collector, EventBody};
 use cast_sim::par;
+use cast_workload::JobId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -288,14 +291,22 @@ impl Annealer {
         };
         let mut events = ChainEvents::new(&self.obs, restart, seed);
         let mut temp = self.cfg.temp_init;
-        let mut moves: Vec<(cast_workload::JobId, Assignment)> = Vec::new();
-        let mut undo: Vec<(cast_workload::JobId, Assignment)> = Vec::new();
+        let mut moves: Vec<(usize, Assignment)> = Vec::new();
+        let mut undo: Vec<(usize, Assignment)> = Vec::new();
 
         for iter in 0..self.cfg.iterations {
             temp = self.cfg.cooling.step(temp);
-            gen.propose(|j| state.assignment(j), &mut rng, None, &mut moves);
-            state.apply(&moves, &mut undo);
-            let n_score = state.score()?;
+            let current = state.assignments();
+            gen.propose(|p| Some(current[p]), &mut rng, None, &mut moves);
+            // An empty move leaves the state as scored: reuse its score
+            // (Δ = 0 accepts without an RNG draw, as a rescore would).
+            let n_score = if moves.is_empty() {
+                undo.clear();
+                current_score
+            } else {
+                state.apply(&moves, &mut undo)?;
+                state.score()?
+            };
             diag.iterations += 1;
 
             if n_score > best_score {
@@ -395,7 +406,7 @@ impl Annealer {
         let mut current_score = init_score;
         // The incumbent best as a flat snapshot; the winning plan is
         // rebuilt from it exactly once after the loop.
-        let mut best_snapshot: Vec<(cast_workload::JobId, Assignment)> = current.iter().collect();
+        let mut best_snapshot: Vec<(JobId, Assignment)> = current.iter().collect();
         let mut best_score = init_score;
 
         let mut diag = SolveDiagnostics {
@@ -406,19 +417,26 @@ impl Annealer {
         };
         let mut events = ChainEvents::new(&self.obs, restart, seed);
         let mut temp = self.cfg.temp_init;
-        let mut moves: Vec<(cast_workload::JobId, Assignment)> = Vec::new();
-        let mut undo: Vec<(cast_workload::JobId, Assignment)> = Vec::new();
+        let mut moves: Vec<(usize, Assignment)> = Vec::new();
+        let mut undo: Vec<(JobId, Assignment)> = Vec::new();
 
         for iter in 0..self.cfg.iterations {
             temp = self.cfg.cooling.step(temp);
             let cursor = cursor_order.map(|ord| ord[iter % ord.len()]);
-            gen.propose(|j| current.get(j), &mut rng, cursor, &mut moves);
+            gen.propose(|p| current.get(gen.job(p)), &mut rng, cursor, &mut moves);
             undo.clear();
-            for &(job, a) in &moves {
+            for &(pos, a) in &moves {
+                let job = gen.job(pos);
                 undo.push((job, current.get(job).expect("proposed over assigned job")));
                 current.assign(job, a);
             }
-            let n_score = score(&current)?;
+            // An empty move leaves the plan as scored (see
+            // `chain_incremental`).
+            let n_score = if moves.is_empty() {
+                current_score
+            } else {
+                score(&current)?
+            };
             diag.iterations += 1;
 
             if n_score > best_score {
@@ -701,6 +719,40 @@ mod tests {
             fast.diagnostics.uphill_accepted,
             slow.diagnostics.uphill_accepted
         );
+    }
+
+    #[test]
+    fn empty_moves_are_accepted_iterations_that_are_never_scored() {
+        // One job at exact fit: every downward nudge is an empty move.
+        // Any real change scores catastrophically, so it is rejected with
+        // certainty and every accept is an empty move.
+        let spec = synth::prediction_workload();
+        let init = TieringPlan::uniform(&spec, Tier::PersSsd);
+        let gen = NeighborGen::new(vec![spec.jobs[0].id], Vec::new());
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let out = Annealer::new(quick_cfg(31))
+            .solve_with(
+                init.clone(),
+                &gen,
+                |p| {
+                    calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    Ok(if *p == init { 1.0 } else { -1e300 })
+                },
+                None,
+            )
+            .unwrap();
+        let scored = calls.into_inner() - 1; // minus the initial score
+        let d = &out.diagnostics;
+        assert_eq!(d.iterations, 800);
+        assert!(d.accepted > 0, "some nudges fall off the grid edge");
+        assert_eq!(d.uphill_accepted, 0);
+        assert_eq!(d.improvements, 0);
+        assert_eq!(
+            d.accepted + scored,
+            d.iterations,
+            "empty moves are counted and accepted but never scored"
+        );
+        assert_eq!(out.plan, init);
     }
 
     #[test]

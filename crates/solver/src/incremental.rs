@@ -135,9 +135,8 @@ const NO_KEY: TimeKey = (u8::MAX, u64::MAX);
 #[derive(Debug, Clone)]
 pub struct IncrementalEval<'a> {
     ctx: &'a EvalContext<'a>,
-    /// Position of each job in `ctx.spec.jobs` (the aggregation order).
-    index: HashMap<JobId, usize>,
-    /// Current assignment per job, in spec order.
+    /// Current assignment per job, in spec order (a job's *position*).
+    /// Every entry has passed [`Assignment::validate`].
     assignments: Vec<Assignment>,
     /// `inputᵢ + interᵢ + outputᵢ` per job (the Eq. 3 floor).
     footprint: Vec<DataSize>,
@@ -157,11 +156,12 @@ pub struct IncrementalEval<'a> {
     class: Vec<usize>,
     /// Application index (into the distinct-app tables below) per class.
     class_app: Vec<usize>,
-    /// Per-(app, tier) clamp bounds for the scoring key: the profiled
-    /// curve's knot domain (flat extrapolation outside it), widened for
-    /// volume-granular tiers to the staging-throughput saturation point
-    /// (`volume × max_volumes`). Two totals whose clamped per-VM
-    /// capacities coincide are bit-identical to `REG`.
+    /// Per-(job, tier) clamp bounds for the scoring key: the profiled
+    /// curve of the job's application over its knot domain (flat
+    /// extrapolation outside it), widened for volume-granular tiers to
+    /// the staging-throughput saturation point (`volume × max_volumes`).
+    /// Two totals whose clamped per-VM capacities coincide are
+    /// bit-identical to `REG`.
     clamp: Vec<[(f64, f64); 4]>,
     /// `REG` results per `(job class, tier)` as `(clamped per-VM
     /// capacity bits, runtime)` rows, most-recently-used first and
@@ -188,11 +188,10 @@ const MEMO_ROW_CAP: usize = 8;
 
 impl<'a> IncrementalEval<'a> {
     /// Build evaluation state for `plan`, which must assign every job of
-    /// `ctx.spec`.
+    /// `ctx.spec` a valid (Eq. 3) assignment.
     pub fn new(ctx: &'a EvalContext<'a>, plan: &TieringPlan) -> Result<Self, SolverError> {
         let spec = ctx.spec;
         let n = spec.jobs.len();
-        let mut index = HashMap::with_capacity(n);
         let mut assignments = Vec::with_capacity(n);
         let mut footprint = Vec::with_capacity(n);
         let mut inter = Vec::with_capacity(n);
@@ -203,8 +202,7 @@ impl<'a> IncrementalEval<'a> {
         let mut apps = Vec::new();
         let mut class = Vec::with_capacity(n);
         let mut class_app = Vec::new();
-        for (i, job) in spec.jobs.iter().enumerate() {
-            index.insert(job.id, i);
+        for job in &spec.jobs {
             assignments.push(plan.require(job.id)?);
             let profile = spec.profiles.get(job.app);
             footprint.push(job.footprint(profile));
@@ -223,7 +221,10 @@ impl<'a> IncrementalEval<'a> {
             }
             class.push(c);
         }
-        let clamp = apps
+        for (job, a) in spec.jobs.iter().zip(&assignments) {
+            a.validate(job.id)?;
+        }
+        let app_clamp: Vec<[(f64, f64); 4]> = apps
             .iter()
             .map(|&app| {
                 let mut per_tier = [(f64::NEG_INFINITY, f64::INFINITY); 4];
@@ -251,7 +252,14 @@ impl<'a> IncrementalEval<'a> {
                 per_tier
             })
             .collect();
+        let clamp = class.iter().map(|&c| app_clamp[class_app[c]]).collect();
         let groups = if ctx.reuse_aware {
+            let index: HashMap<JobId, usize> = spec
+                .jobs
+                .iter()
+                .enumerate()
+                .map(|(i, j)| (j.id, i))
+                .collect();
             spec.reuse_groups()
                 .into_iter()
                 .map(|(ds, jobs)| {
@@ -265,7 +273,6 @@ impl<'a> IncrementalEval<'a> {
         };
         Ok(IncrementalEval {
             ctx,
-            index,
             assignments,
             footprint,
             inter,
@@ -282,44 +289,42 @@ impl<'a> IncrementalEval<'a> {
         })
     }
 
-    /// The current assignment of `job`, if it exists in the spec.
-    pub fn assignment(&self, job: JobId) -> Option<Assignment> {
-        self.index.get(&job).map(|&i| self.assignments[i])
-    }
-
     /// Current assignments in spec order.
     pub fn assignments(&self) -> &[Assignment] {
         &self.assignments
     }
 
-    /// Overwrite every assignment from a spec-ordered snapshot (the
-    /// restart loop's "jump back to best" operation).
-    pub fn set_all(&mut self, assignments: &[Assignment]) {
-        self.assignments.copy_from_slice(assignments);
-    }
-
-    /// Apply a batch of assignment changes, pushing the displaced
-    /// assignments onto `undo` (in change order) so [`Self::restore`] can
-    /// roll the move back.
-    pub fn apply(&mut self, changes: &[(JobId, Assignment)], undo: &mut Vec<(JobId, Assignment)>) {
+    /// Apply a batch of `(position, assignment)` changes, pushing the
+    /// displaced assignments onto `undo` (in change order) so
+    /// [`Self::restore`] can roll the move back. Each new assignment is
+    /// validated here, once, instead of on every [`Self::score`]; an
+    /// invalid one leaves the state untouched.
+    pub fn apply(
+        &mut self,
+        changes: &[(usize, Assignment)],
+        undo: &mut Vec<(usize, Assignment)>,
+    ) -> Result<(), SolverError> {
         undo.clear();
-        for &(job, a) in changes {
-            let i = self.index[&job];
-            undo.push((job, self.assignments[i]));
+        for &(i, a) in changes {
+            a.validate(self.ctx.spec.jobs[i].id)?;
+        }
+        for &(i, a) in changes {
+            undo.push((i, self.assignments[i]));
             self.assignments[i] = a;
         }
+        Ok(())
     }
 
     /// Roll back a move recorded by [`Self::apply`].
-    pub fn restore(&mut self, undo: &[(JobId, Assignment)]) {
-        for &(job, a) in undo.iter().rev() {
-            self.assignments[self.index[&job]] = a;
+    pub fn restore(&mut self, undo: &[(usize, Assignment)]) {
+        for &(i, a) in undo.iter().rev() {
+            self.assignments[i] = a;
         }
     }
 
     /// Raw per-tier demand, replaying [`TieringPlan::capacities`]'s exact
     /// operation order over the precomputed per-job quantities.
-    fn raw_capacities(&self) -> Result<PerTier<DataSize>, SolverError> {
+    fn raw_capacities(&self) -> PerTier<DataSize> {
         let mut caps = PerTier::from_fn(|_| DataSize::ZERO);
         for (size, members) in &self.groups {
             // Distinct tiers in first-seen member order (≤ 4 of them).
@@ -342,9 +347,7 @@ impl<'a> IncrementalEval<'a> {
                 }
             }
         }
-        for (i, job) in self.ctx.spec.jobs.iter().enumerate() {
-            let a = self.assignments[i];
-            a.validate(job.id)?;
+        for (i, a) in self.assignments.iter().enumerate() {
             let c = self.footprint[i] * a.overprov;
             *caps.get_mut(a.tier) += c;
             match a.tier {
@@ -358,13 +361,13 @@ impl<'a> IncrementalEval<'a> {
                 _ => {}
             }
         }
-        Ok(caps)
+        caps
     }
 
     /// Score the current assignments: the Eq. 2 tenant utility,
     /// bit-identical to `evaluate(&self.to_plan(), ctx)?.utility`.
     pub fn score(&mut self) -> Result<f64, SolverError> {
-        let raw = self.raw_capacities()?;
+        let raw = self.raw_capacities();
         let capacities = provision_round(self.ctx.estimator, &raw);
         // A tier's total reaches `REG` only through its per-VM capacity
         // (volume-rounded on volume-granular tiers), so that — clamped
@@ -376,18 +379,16 @@ impl<'a> IncrementalEval<'a> {
                 per_vm_capacity(&est.catalog, tier, *capacities.get(tier), est.cluster.nvm);
         }
         let mut time = Duration::ZERO;
-        for (i, job) in self.ctx.spec.jobs.iter().enumerate() {
-            let a = self.assignments[i];
-            let tier_total = *capacities.get(a.tier);
-            let cls = self.class[i];
+        for (i, a) in self.assignments.iter().enumerate() {
             let ti = a.tier.index();
-            let (lo, hi) = self.clamp[self.class_app[cls]][ti];
+            let (lo, hi) = self.clamp[i][ti];
             let bits = per_vm[ti].clamp(lo, hi).to_bits();
             let key: TimeKey = (ti as u8, bits);
             let t = if self.ledger_key[i] == key {
                 self.stats.ledger_hits += 1;
                 self.ledger[i]
             } else {
+                let cls = self.class[i];
                 let row = &mut self.memo[cls][ti];
                 let t = match row.iter().position(|&(c, _)| c == bits) {
                     Some(pos) => {
@@ -407,7 +408,8 @@ impl<'a> IncrementalEval<'a> {
                             }
                             None => {
                                 self.stats.misses += 1;
-                                let bw = est.matrix.bandwidths(job.app, a.tier, per_vm[ti])?;
+                                let app = self.ctx.spec.jobs[i].app;
+                                let bw = est.matrix.bandwidths(app, a.tier, per_vm[ti])?;
                                 if bw_row.len() >= MEMO_ROW_CAP {
                                     bw_row.pop();
                                 }
@@ -417,7 +419,8 @@ impl<'a> IncrementalEval<'a> {
                                 bw
                             }
                         };
-                        let t = est.reg_with_bw(job, a.tier, tier_total, bw);
+                        let tier_total = *capacities.get(a.tier);
+                        let t = est.reg_with_bw(&self.ctx.spec.jobs[i], a.tier, tier_total, bw);
                         if row.len() >= MEMO_ROW_CAP {
                             row.pop();
                         }
@@ -492,18 +495,18 @@ mod tests {
         let plan = TieringPlan::uniform(&spec, Tier::PersHdd);
         let mut inc = IncrementalEval::new(&ctx, &plan).unwrap();
         let before = inc.score().unwrap();
-        let job = spec.jobs[0].id;
         let mut undo = Vec::new();
         inc.apply(
             &[(
-                job,
+                0,
                 Assignment {
                     tier: Tier::EphSsd,
                     overprov: 4.0,
                 },
             )],
             &mut undo,
-        );
+        )
+        .unwrap();
         let moved = inc.score().unwrap();
         let moved_oracle = evaluate(&inc.to_plan(), &ctx).unwrap().utility;
         assert_eq!(moved.to_bits(), moved_oracle.to_bits());
@@ -523,28 +526,55 @@ mod tests {
         let after_first = inc.memo_len();
         // Toggle one job back and forth: the revisited states must not
         // grow the memo.
-        let job = spec.jobs[0].id;
-        let original = inc.assignment(job).unwrap();
+        let original = inc.assignments()[0];
         let mut undo = Vec::new();
         for _ in 0..8 {
             inc.apply(
                 &[(
-                    job,
+                    0,
                     Assignment {
                         tier: Tier::PersHdd,
                         overprov: 2.0,
                     },
                 )],
                 &mut undo,
-            );
+            )
+            .unwrap();
             inc.score().unwrap();
             inc.restore(&undo);
             inc.score().unwrap();
         }
-        assert_eq!(inc.assignment(job), Some(original));
+        assert_eq!(inc.assignments()[0], original);
         let grown = inc.memo_len() - after_first;
         // One new (tier, capacity) point per affected tier on the first
         // toggle; every later toggle hits the cache.
         assert!(grown <= spec.jobs.len() * 2, "memo grew by {grown}");
+    }
+
+    #[test]
+    fn invalid_assignments_are_rejected_once_up_front() {
+        let spec = synth::prediction_workload();
+        let est = toy_estimator(25);
+        let ctx = EvalContext::new(&est, &spec);
+        let mut plan = TieringPlan::uniform(&spec, Tier::PersSsd);
+        let bad = Assignment {
+            tier: Tier::PersSsd,
+            overprov: 0.5,
+        };
+        let job = spec.jobs[1].id;
+        plan.assign(job, bad);
+        assert!(matches!(
+            IncrementalEval::new(&ctx, &plan),
+            Err(SolverError::CapacityViolation { job: j, .. }) if j == job.0
+        ));
+
+        let plan = TieringPlan::uniform(&spec, Tier::PersSsd);
+        let mut inc = IncrementalEval::new(&ctx, &plan).unwrap();
+        let good = Assignment::exact(Tier::EphSsd);
+        let mut undo = Vec::new();
+        let err = inc.apply(&[(0, good), (1, bad)], &mut undo).unwrap_err();
+        assert!(matches!(err, SolverError::CapacityViolation { job: j, .. } if j == job.0));
+        assert!(undo.is_empty(), "a rejected move records nothing");
+        assert_eq!(inc.to_plan(), plan, "a rejected move changes nothing");
     }
 }

@@ -8,6 +8,7 @@ use cast_cloud::Catalog;
 use cast_estimator::model::{CapacityCurve, ModelMatrix, PhaseBw};
 use cast_estimator::mrcute::ClusterSpec;
 use cast_estimator::Estimator;
+use cast_solver::neighbor::NeighborGen;
 use cast_solver::{
     evaluate, greedy_plan, restart_seed, AnnealConfig, Annealer, Assignment, EvalContext,
     GreedyMode, IncrementalEval, TieringPlan,
@@ -216,9 +217,8 @@ proptest! {
         let mut state = IncrementalEval::new(&ctx, &init).expect("state");
         let mut undo = Vec::new();
         for (job_idx, tier_idx, overprov, do_undo) in moves {
-            let job = spec.jobs[job_idx % spec.jobs.len()].id;
-            let change = (job, Assignment { tier: Tier::ALL[tier_idx], overprov });
-            state.apply(std::slice::from_ref(&change), &mut undo);
+            let change = (job_idx % spec.jobs.len(), Assignment { tier: Tier::ALL[tier_idx], overprov });
+            state.apply(std::slice::from_ref(&change), &mut undo).expect("valid move");
             let fast = state.score().expect("incremental score");
             let oracle = evaluate(&state.to_plan(), &ctx).expect("oracle").utility;
             prop_assert_eq!(fast.to_bits(), oracle.to_bits());
@@ -229,6 +229,40 @@ proptest! {
                 prop_assert_eq!(fast.to_bits(), oracle.to_bits());
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The positional incremental annealer and the plan-scoring annealer
+    /// (every neighbour scored through the full `evaluate` oracle) walk one
+    /// trajectory with reuse groups on: same plan, same score bits, same
+    /// acceptance counts. Both reuse the current score for empty moves, so
+    /// this pins the incremental kernel to the oracle decision by decision.
+    #[test]
+    fn positional_annealer_matches_oracle_trajectory(
+        spec in arb_reuse_spec(),
+        seed in 0u64..1_000_000,
+        tier in prop::sample::select(Tier::ALL.to_vec()),
+    ) {
+        let est = toy_estimator(4);
+        let ctx = EvalContext::new(&est, &spec).with_reuse_awareness();
+        let init = TieringPlan::uniform(&spec, tier);
+        let cfg = AnnealConfig { iterations: 300, seed, ..AnnealConfig::default() };
+        let fast = Annealer::new(cfg).solve(&ctx, init.clone()).expect("anneal");
+        let groups = spec.reuse_groups().into_iter().map(|(_, jobs)| jobs).collect();
+        let gen = NeighborGen::new(spec.jobs.iter().map(|j| j.id).collect(), groups);
+        let slow = Annealer::new(cfg)
+            .solve_with(init, &gen, |p| evaluate(p, &ctx).map(|e| e.utility), None)
+            .expect("anneal");
+        prop_assert_eq!(&fast.plan, &slow.plan);
+        prop_assert_eq!(fast.eval.utility.to_bits(), slow.score.to_bits());
+        prop_assert_eq!(fast.diagnostics.accepted, slow.diagnostics.accepted);
+        prop_assert_eq!(
+            fast.diagnostics.uphill_accepted,
+            slow.diagnostics.uphill_accepted
+        );
     }
 }
 
