@@ -6,28 +6,29 @@
 //! ```
 //!
 //! The experiments are mutually independent, so they run concurrently on
-//! scoped threads. Determinism is preserved by construction: every
-//! experiment is seeded and self-contained, the shared profiling cache is
-//! warmed once before any thread spawns, and the main thread joins, prints
-//! and saves results in the fixed spawn order — so `EXPERIMENTS.md`, the
-//! console markers and every `results/*.json` byte are identical to a
-//! sequential run.
+//! the [`cast_sim::par`] pool, one worker per experiment. Determinism is
+//! preserved by construction: every experiment is seeded and
+//! self-contained, the shared profiling cache is warmed once before the
+//! pool starts, and the main thread prints and saves the sections in task
+//! order — so `EXPERIMENTS.md`, the console markers and every
+//! `results/*.json` byte are identical to a sequential run.
 
 use std::fmt::Write as _;
 use std::fs;
 
 use cast_bench::experiments::*;
 use cast_bench::{expected, ExperimentIo};
+use cast_sim::par;
 
 /// One experiment's rendered output: a markdown section and the JSON
 /// payloads to persist under `results/`. Workers only compute; the main
-/// thread does all printing and file writes, in spawn order.
+/// thread does all printing and file writes, in task order.
 struct Section {
     md: String,
     json: Vec<(&'static str, serde_json::Value)>,
 }
 
-type Task = Box<dyn FnOnce() -> Section + Send>;
+type Task = fn() -> Section;
 
 fn run_table1() -> Section {
     let t1 = table1::run();
@@ -446,52 +447,40 @@ fn main() {
     let _ = cast_bench::paper_estimator();
 
     let tasks: Vec<(&'static str, Task)> = vec![
-        ("table1", Box::new(run_table1)),
-        ("table2", Box::new(run_table2)),
-        ("table4", Box::new(run_table4)),
-        ("fig1", Box::new(run_fig1)),
-        ("fig2", Box::new(run_fig2)),
-        ("fig3", Box::new(run_fig3)),
-        ("fig4", Box::new(run_fig4)),
-        ("fig5", Box::new(run_fig5)),
+        ("table1", run_table1),
+        ("table2", run_table2),
+        ("table4", run_table4),
+        ("fig1", run_fig1),
+        ("fig2", run_fig2),
+        ("fig3", run_fig3),
+        ("fig4", run_fig4),
+        ("fig5", run_fig5),
         (
             "fig7 (plans + deploys 8 configurations — takes a minute)",
-            Box::new(run_fig7),
+            run_fig7,
         ),
-        ("fig8", Box::new(run_fig8)),
-        (
-            "fig9 (plans + deploys 6 configurations)",
-            Box::new(run_fig9),
-        ),
-        ("fault_sweep", Box::new(run_fault_sweep)),
-        (
-            "online_drift (serves the stream 4x)",
-            Box::new(run_online_drift),
-        ),
+        ("fig8", run_fig8),
+        ("fig9 (plans + deploys 6 configurations)", run_fig9),
+        ("fault_sweep", run_fault_sweep),
+        ("online_drift (serves the stream 4x)", run_online_drift),
         (
             "durability_sweep (serves the stream per protocol x rate)",
-            Box::new(run_durability_sweep),
+            run_durability_sweep,
         ),
         (
             "sim_scale (re-rendered from baseline)",
-            Box::new(run_sim_scale_section),
+            run_sim_scale_section,
         ),
     ];
 
-    std::thread::scope(|s| {
-        let handles: Vec<_> = tasks
-            .into_iter()
-            .map(|(label, task)| (label, s.spawn(task)))
-            .collect();
-        for (label, handle) in handles {
-            eprintln!("[{label}]");
-            let section = handle.join().unwrap_or_else(|_| panic!("{label} panicked"));
-            md.push_str(&section.md);
-            for (name, value) in &section.json {
-                io.save_json(name, value);
-            }
+    let sections = par::run_indexed(tasks.len(), tasks.len(), |i| (tasks[i].1)());
+    for ((label, _), section) in tasks.iter().zip(sections) {
+        eprintln!("[{label}]");
+        md.push_str(&section.md);
+        for (name, value) in &section.json {
+            io.save_json(name, value);
         }
-    });
+    }
 
     let path = "EXPERIMENTS.md";
     fs::write(path, &md).expect("write EXPERIMENTS.md");

@@ -19,23 +19,14 @@
 //!    semantic drift; the acceptance bar is ≥ 3× at 8 candidates.
 //!
 //! Results land in `BENCH_runtime.json` (replan latency p50/p99 for
-//! every arm, forks/s, speedup) with the same `--check` gate shape as
-//! `sim_scale` / `BENCH_sim.json`:
-//!
-//! ```text
-//! runtime_epoch [--smoke] [--out PATH] [--check BASELINE] [--tolerance 0.25]
-//! ```
-//!
-//! * `--smoke` cuts the timed repetitions (CI-friendly).
-//! * `--out` writes the JSON report to a file (default: stdout only).
-//! * `--check` loads a baseline JSON and fails (exit 1) if `forks_per_sec`
-//!   regressed by more than the tolerance (default 25%). The baseline is
-//!   parsed generically so reports from older or newer versions of this
-//!   bin still check.
+//! every arm, forks/s, speedup). Flags and the regression gate are
+//! [`cast_bench::perf`]'s: `--smoke` cuts the timed repetitions, and
+//! `--check` gates `whatif.forks_per_sec` (floor).
 
 use std::collections::HashMap;
 use std::time::Instant;
 
+use cast_bench::perf::{self, percentile};
 use cast_cloud::tier::{PerTier, Tier};
 use cast_cloud::units::{DataSize, Duration};
 use cast_cloud::Catalog;
@@ -131,13 +122,6 @@ fn anneal_cfg() -> AnnealConfig {
         seed: SOLVER_SEED,
         ..AnnealConfig::default()
     }
-}
-
-/// p-th percentile of a latency sample (nearest-rank on the sorted set).
-fn percentile(samples: &[f64], p: f64) -> f64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    sorted[((sorted.len() - 1) as f64 * p).round() as usize]
 }
 
 #[derive(serde::Serialize)]
@@ -334,63 +318,9 @@ fn bench_whatif(e: &Epochs, reps: usize) -> WhatifSection {
     }
 }
 
-/// Compare `current` against a committed baseline on `forks_per_sec`.
-/// Generic JSON parse for the same reason as `sim_scale`: the vendored
-/// serde shim hard-errors on missing fields, and baselines outlive the
-/// report schema.
-fn check(current: &Report, baseline_path: &str, tolerance: f64) -> Result<(), String> {
-    let raw = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-    let baseline: serde_json::Value =
-        serde_json::from_str(&raw).map_err(|e| format!("bad baseline JSON: {e}"))?;
-    let Some(base_fps) = baseline["whatif"]["forks_per_sec"].as_f64() else {
-        eprintln!("baseline {baseline_path} has no whatif.forks_per_sec; nothing to check");
-        return Ok(());
-    };
-    let floor = base_fps * (1.0 - tolerance);
-    let fps = current.whatif.forks_per_sec;
-    let verdict = if fps < floor { "REGRESSED" } else { "ok" };
-    eprintln!(
-        "check forks_per_sec: {fps:.0} vs baseline {base_fps:.0} (floor {floor:.0}) {verdict}"
-    );
-    if fps < floor {
-        return Err(format!(
-            "forks_per_sec {fps:.0} < {floor:.0} ({}% below baseline {base_fps:.0})",
-            (100.0 * (1.0 - fps / base_fps)).round(),
-        ));
-    }
-    Ok(())
-}
-
 fn main() {
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut tolerance = 0.25;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = Some(args.next().expect("--out PATH")),
-            "--check" => baseline = Some(args.next().expect("--check BASELINE")),
-            "--tolerance" => {
-                tolerance = args
-                    .next()
-                    .expect("--tolerance FRACTION")
-                    .parse()
-                    .expect("tolerance is a fraction")
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                eprintln!(
-                    "usage: runtime_epoch [--smoke] [--out PATH] [--check BASELINE] [--tolerance 0.25]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let reps = if smoke { 10 } else { 30 };
+    let args = perf::PerfArgs::from_env("runtime_epoch");
+    let reps = if args.smoke { 10 } else { 30 };
     let e = setup();
     let solver = bench_solver(&e, reps.min(10));
     eprintln!(
@@ -418,20 +348,15 @@ fn main() {
 
     let report = Report {
         bench: "runtime_epoch".to_string(),
-        mode: if smoke { "smoke" } else { "full" }.to_string(),
+        mode: args.mode().to_string(),
         solver,
         whatif,
     };
-    let json = serde_json::to_string_pretty(&report).expect("serialize");
-    println!("{json}");
-    if let Some(path) = &out {
-        std::fs::write(path, format!("{json}\n")).expect("write report");
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = &baseline {
-        if let Err(msg) = check(&report, path, tolerance) {
-            eprintln!("replan-latency regression:\n{msg}");
-            std::process::exit(1);
-        }
-    }
+    perf::finish("runtime_epoch", &args, &report, |base, gate| {
+        gate.at_least(
+            "whatif.forks_per_sec",
+            report.whatif.forks_per_sec,
+            base["whatif"]["forks_per_sec"].as_f64(),
+        );
+    });
 }

@@ -9,26 +9,15 @@
 //! [`cast_sim::par`] worker pool and reports the aggregate event rate —
 //! the multi-core figure of merit for fleet-scale sweeps.
 //!
-//! Doubles as a CI regression gate: `--check` compares the measured
-//! throughput against a committed baseline and fails the run on a
-//! slowdown beyond `--tolerance`.
-//!
-//! ```text
-//! sim_scale [--smoke] [--out PATH] [--check BASELINE] [--tolerance 0.25]
-//! ```
-//!
-//! * `--smoke` runs a reduced grid (CI-friendly: the reference-checked
-//!   small scenario plus one 4000-job stress scenario).
-//! * `--out` writes the JSON report to a file (default: stdout only).
-//! * `--check` loads a baseline JSON and fails (exit 1) if any scenario's
-//!   `events_per_sec` regressed by more than the tolerance (default 25%).
-//!   The baseline is parsed generically, so older baselines lacking
-//!   newer fields (and newer baselines carrying extra ones) still check;
-//!   only scenarios present in both reports are compared, so a smoke run
-//!   can be checked against a committed full baseline.
+//! Flags and the regression gate are [`cast_bench::perf`]'s. `--smoke`
+//! runs the reference-checked small scenario plus one 4000-job stress
+//! scenario; `--check` gates each scenario's `events_per_sec` (floor),
+//! matched on `(nvm, jobs)`, so a smoke run checks against a committed
+//! full baseline.
 
 use std::time::Instant;
 
+use cast_bench::perf;
 use cast_cloud::tier::{PerTier, Tier};
 use cast_cloud::units::DataSize;
 use cast_cloud::Catalog;
@@ -259,89 +248,9 @@ fn run_parallel(nvm: usize, jobs: usize) -> Parallel {
     }
 }
 
-/// Compare `current` against a committed baseline on `events_per_sec`.
-///
-/// The baseline is parsed as generic JSON rather than deserialized into
-/// [`Report`]: the vendored serde shim hard-errors on missing fields, so
-/// a typed parse would reject every baseline written by an older (or
-/// newer) sim_scale. Scenario entries lacking a numeric `events_per_sec`
-/// (absent or null) are skipped explicitly.
-fn check(current: &Report, baseline_path: &str, tolerance: f64) -> Result<(), String> {
-    let raw = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-    let baseline: serde_json::Value =
-        serde_json::from_str(&raw).map_err(|e| format!("bad baseline JSON: {e}"))?;
-    let empty = Vec::new();
-    let base_scenarios = baseline["scenarios"].as_array().unwrap_or(&empty);
-    let mut failures = Vec::new();
-    for cur in &current.scenarios {
-        let Some(base_eps) = base_scenarios.iter().find_map(|b| {
-            (b["nvm"] == cur.nvm && b["jobs"] == cur.jobs)
-                .then(|| b["events_per_sec"].as_f64())
-                .flatten()
-        }) else {
-            // Scenario absent from the baseline (or recorded without a
-            // numeric rate): nothing to regress against.
-            continue;
-        };
-        let floor = base_eps * (1.0 - tolerance);
-        let verdict = if cur.events_per_sec < floor {
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        eprintln!(
-            "check nvm={} jobs={}: {:.0} events/s vs baseline {:.0} (floor {:.0}) {}",
-            cur.nvm, cur.jobs, cur.events_per_sec, base_eps, floor, verdict
-        );
-        if cur.events_per_sec < floor {
-            failures.push(format!(
-                "nvm={} jobs={}: {:.0} events/s < {:.0} ({}% below baseline {:.0})",
-                cur.nvm,
-                cur.jobs,
-                cur.events_per_sec,
-                floor,
-                (100.0 * (1.0 - cur.events_per_sec / base_eps)).round(),
-                base_eps,
-            ));
-        }
-    }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("\n"))
-    }
-}
-
 fn main() {
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut tolerance = 0.25;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = Some(args.next().expect("--out PATH")),
-            "--check" => baseline = Some(args.next().expect("--check BASELINE")),
-            "--tolerance" => {
-                tolerance = args
-                    .next()
-                    .expect("--tolerance FRACTION")
-                    .parse()
-                    .expect("tolerance is a fraction")
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                eprintln!(
-                    "usage: sim_scale [--smoke] [--out PATH] [--check BASELINE] [--tolerance 0.25]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let grid = if smoke { SMOKE } else { FULL };
+    let args = perf::PerfArgs::from_env("sim_scale");
+    let grid = if args.smoke { SMOKE } else { FULL };
     let mut scenarios = Vec::new();
     for &(nvm, jobs) in grid {
         let s = run_scenario(nvm, jobs);
@@ -359,7 +268,7 @@ fn main() {
     // Parallel aggregate: the fleet-scale scenario in full mode, the
     // small scenario in smoke mode (exercises the pool without the 10k-VM
     // scratch footprint).
-    let (par_nvm, par_jobs) = if smoke { (25, 100) } else { (10000, 100) };
+    let (par_nvm, par_jobs) = if args.smoke { (25, 100) } else { (10000, 100) };
     let parallel = run_parallel(par_nvm, par_jobs);
     eprintln!(
         "sim_scale parallel nvm={} jobs={} workers={}: {} total steps in {:.3}s = {:.0} events/s aggregate",
@@ -372,20 +281,18 @@ fn main() {
     );
     let report = Report {
         bench: "sim_scale".to_string(),
-        mode: if smoke { "smoke" } else { "full" }.to_string(),
+        mode: args.mode().to_string(),
         scenarios,
         parallel,
     };
-    let json = serde_json::to_string_pretty(&report).expect("serialize");
-    println!("{json}");
-    if let Some(path) = &out {
-        std::fs::write(path, format!("{json}\n")).expect("write report");
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = &baseline {
-        if let Err(msg) = check(&report, path, tolerance) {
-            eprintln!("throughput regression:\n{msg}");
-            std::process::exit(1);
+    perf::finish("sim_scale", &args, &report, |base, gate| {
+        for s in &report.scenarios {
+            let b = perf::find_entry(
+                &base["scenarios"],
+                &[("nvm", s.nvm as u64), ("jobs", s.jobs as u64)],
+            );
+            let name = format!("nvm={} jobs={} events_per_sec", s.nvm, s.jobs);
+            gate.at_least(&name, s.events_per_sec, b["events_per_sec"].as_f64());
         }
-    }
+    });
 }

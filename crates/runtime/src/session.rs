@@ -25,6 +25,7 @@
 //! solo runtime pins extends to any deterministic grant sequence.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use cast_cloud::cost::CostModel;
 use cast_cloud::tier::{PerTier, Tier};
@@ -173,10 +174,21 @@ pub struct PendingPlan {
     init: TieringPlan,
     inputs: SolveInputs,
     signature: u64,
-    class_inputs: ClassInputs,
-    class_set_signature: u64,
-    class_order: Vec<u32>,
+    /// `RuntimeConfig::seed`, salting the class-set signature.
+    cfg_seed: u64,
+    /// The class-dedup key, built on first use: only a class-dedup fleet
+    /// reads it, so the solo runtime and exact dedup never pay for it.
+    class: OnceLock<ClassKey>,
     seed: u64,
+}
+
+/// A [`PendingPlan`]'s class-dedup key.
+#[derive(Debug)]
+struct ClassKey {
+    inputs: ClassInputs,
+    /// Planning-spec positions in class-sorted order.
+    order: Vec<u32>,
+    set_signature: u64,
 }
 
 impl PendingPlan {
@@ -203,13 +215,19 @@ impl PendingPlan {
     /// grouping hint for *approximate* cross-tenant dedup; callers must
     /// confirm with [`PendingPlan::class_set_matches`].
     pub fn class_set_signature(&self) -> u64 {
-        self.class_set_signature
+        self.class().set_signature
     }
 
-    /// The quantized equivalence-class content backing the class-set
-    /// signature.
-    pub fn class_inputs(&self) -> &ClassInputs {
-        &self.class_inputs
+    fn class(&self) -> &ClassKey {
+        self.class.get_or_init(|| {
+            let (inputs, order) = class_quantized_inputs(&self.pspec, &self.inputs);
+            let set_signature = class_set_signature(self.cfg_seed, &inputs);
+            ClassKey {
+                inputs,
+                order,
+                set_signature,
+            }
+        })
     }
 
     /// Whether `other` covers the same set of distinct class items —
@@ -217,7 +235,7 @@ impl PendingPlan {
     /// item lists are sorted, so this is one linear walk that collapses
     /// duplicates on the fly.
     pub fn class_set_matches(&self, other: &PendingPlan) -> bool {
-        let (a, b) = (&self.class_inputs, &other.class_inputs);
+        let (a, b) = (&self.class().inputs, &other.class().inputs);
         if a.warm != b.warm || a.profiles != b.profiles {
             return false;
         }
@@ -290,7 +308,11 @@ pub enum PlanPhase {
 /// One planned-but-not-yet-executed epoch: the replanning decision plus
 /// the batch's raw per-tier capacity demand, waiting on a capacity grant.
 #[derive(Debug)]
-pub struct PlannedEpoch {
+pub struct PlannedEpoch(Box<PlannedBatch>);
+
+/// [`PlannedEpoch`]'s payload, boxed so a [`PlanPhase`] stays small.
+#[derive(Debug)]
+struct PlannedBatch {
     epoch: u32,
     boundary: Duration,
     batch_start: Duration,
@@ -311,34 +333,34 @@ pub struct PlannedEpoch {
 impl PlannedEpoch {
     /// Epoch index on the region grid.
     pub fn epoch(&self) -> u32 {
-        self.epoch
+        self.0.epoch
     }
 
     /// Raw (pre-provisioning) per-tier capacity the batch wants. This is
     /// what a fleet scheduler feeds the fair-share allocator.
     pub fn demand(&self) -> &PerTier<DataSize> {
-        &self.demand
+        &self.0.demand
     }
 
     /// Arrivals admitted into the batch.
     pub fn arrivals(&self) -> usize {
-        self.admitted.len()
+        self.0.admitted.len()
     }
 
     /// Jobs across the admitted arrivals.
     pub fn jobs(&self) -> usize {
-        self.spec.jobs.len()
+        self.0.spec.jobs.len()
     }
 
     /// When the batch starts executing (boundary, or later under
     /// backlog).
     pub fn batch_start_secs(&self) -> f64 {
-        self.batch_start.secs()
+        self.0.batch_start.secs()
     }
 
     /// How this epoch's execution plan was obtained.
     pub fn provenance(&self) -> PlanProvenance {
-        self.provenance
+        self.0.provenance
     }
 }
 
@@ -490,8 +512,6 @@ impl<'a> TenantSession<'a> {
         let init = ingest_plan(&pspec, &self.ingest_map);
         let inputs = canonical_inputs(&pspec, &init, self.solved_once)?;
         let signature = solve_signature(self.cfg.seed, &pspec, &inputs);
-        let (class_inputs, class_order) = class_quantized_inputs(&pspec, &inputs);
-        let class_set_signature = class_set_signature(self.cfg.seed, &class_inputs);
         let seed = splitmix64(signature ^ SOLVE_SEED_SALT);
         let pending = PendingPlan {
             epoch: k,
@@ -505,9 +525,8 @@ impl<'a> TenantSession<'a> {
             init,
             inputs,
             signature,
-            class_inputs,
-            class_set_signature,
-            class_order,
+            cfg_seed: self.cfg.seed,
+            class: OnceLock::new(),
             seed,
         };
 
@@ -682,7 +701,7 @@ impl<'a> TenantSession<'a> {
             raw_ingest
         };
 
-        Ok(PlannedEpoch {
+        Ok(PlannedEpoch(Box::new(PlannedBatch {
             epoch: k,
             boundary,
             batch_start,
@@ -698,7 +717,7 @@ impl<'a> TenantSession<'a> {
             replan_moves,
             demand,
             provenance,
-        })
+        })))
     }
 
     /// Execute a planned epoch under a capacity grant. `grant_frac` is
@@ -717,7 +736,7 @@ impl<'a> TenantSession<'a> {
         if !(0.0..=1.0).contains(&grant_frac) {
             return Err(RuntimeError::InvalidGrant(grant_frac));
         }
-        let PlannedEpoch {
+        let PlannedBatch {
             epoch: k,
             boundary,
             batch_start,
@@ -733,7 +752,7 @@ impl<'a> TenantSession<'a> {
             replan_moves,
             demand,
             provenance: _,
-        } = planned;
+        } = *planned.0;
         // A full grant must reproduce the solo runtime bit-for-bit, so
         // only scale when the scheduler actually took capacity away.
         let raw = if grant_frac < 1.0 {
@@ -940,23 +959,20 @@ impl<'a> TenantSession<'a> {
     /// rejections from the boundary surface in the next report row.
     pub fn defer_epoch(&mut self, planned: PlannedEpoch) {
         self.deferrals += 1;
-        self.pending_rejected += planned.rejected;
+        self.pending_rejected += planned.0.rejected;
         self.obs.counter("runtime.deferred").inc();
-        self.carryover = planned.admitted;
+        self.carryover = planned.0.admitted;
     }
 
     /// Turn a planned batch away wholesale (capacity denied for good).
     /// Every arrival — admitted or not — is recorded as rejected and
     /// nothing executes, provisions or costs anything.
     pub fn reject_epoch(&mut self, planned: PlannedEpoch) {
-        let rejected = planned.admitted.len() + planned.rejected;
+        let p = planned.0;
+        let rejected = p.admitted.len() + p.rejected;
         self.obs.counter("runtime.rejected").add(rejected as u64);
-        self.epochs.push(empty_epoch(
-            planned.epoch,
-            planned.boundary,
-            planned.batch_start,
-            rejected,
-        ));
+        self.epochs
+            .push(empty_epoch(p.epoch, p.boundary, p.batch_start, rejected));
     }
 
     /// Close the session and roll its epochs up into an [`OnlineReport`].
@@ -1025,7 +1041,7 @@ fn seal_without_solve(
 ) -> Result<PlannedEpoch, RuntimeError> {
     let demand = ingest.capacities(&spec, true)?;
     let exec = ingest.clone();
-    Ok(PlannedEpoch {
+    Ok(PlannedEpoch(Box::new(PlannedBatch {
         epoch: k,
         boundary,
         batch_start,
@@ -1041,7 +1057,7 @@ fn seal_without_solve(
         replan_moves: 0,
         demand,
         provenance: PlanProvenance::Skipped,
-    })
+    })))
 }
 
 /// Reduce a planning spec + init placement to the canonical
@@ -1153,8 +1169,8 @@ pub fn transfer_class_product(
     product: &SolveProduct,
     member: &PendingPlan,
 ) -> SolveProduct {
-    let mi = &member.class_inputs.items;
-    let ri = &rep.class_inputs.items;
+    let (mk, rk) = (member.class(), rep.class());
+    let (mi, ri) = (&mk.inputs.items, &rk.inputs.items);
     let mut assignments = vec![
         Assignment {
             tier: INGEST_FALLBACK,
@@ -1162,8 +1178,8 @@ pub fn transfer_class_product(
         };
         mi.len()
     ];
-    if member.class_inputs == rep.class_inputs {
-        for (m, r) in member.class_order.iter().zip(&rep.class_order) {
+    if mk.inputs == rk.inputs {
+        for (m, r) in mk.order.iter().zip(&rk.order) {
             assignments[*m as usize] = product.assignments[*r as usize];
         }
     } else {
@@ -1178,8 +1194,7 @@ pub fn transfer_class_product(
                 j < ri.len() && ri[j] == *item,
                 "class-set match guarantees every member item exists in the rep"
             );
-            assignments[member.class_order[k] as usize] =
-                product.assignments[rep.class_order[j] as usize];
+            assignments[mk.order[k] as usize] = product.assignments[rk.order[j] as usize];
         }
     }
     SolveProduct {
