@@ -7,8 +7,9 @@
 //! 1. **Solver replan** — either a cold `solve` from the ingest fallback
 //!    or a warm `resume_from` seeded with the incumbent plan projected
 //!    through the per-app ingest rule. The setup pins the acceptance
-//!    claim behind warm-starting: the warm chain reaches
-//!    incumbent-or-better quality in measurably fewer moves.
+//!    claim behind warm-starting: the warm chain reaches the cold
+//!    chain's converged quality before its stall rule stops it, in
+//!    measurably fewer moves.
 //! 2. **What-if candidate scoring** — eight candidate plans scored
 //!    against a live mid-epoch simulation, the cold-restart way
 //!    ([`cast_sim::score_cold`]: one fresh engine per candidate
@@ -137,6 +138,8 @@ struct Report {
 #[derive(serde::Serialize)]
 struct SolverSection {
     iterations: usize,
+    /// Moves the warm chain made before its stall rule stopped it.
+    warm_iterations: usize,
     warm_moves: usize,
     cold_moves: usize,
     cold_p50_secs: f64,
@@ -181,14 +184,27 @@ fn bench_solver(e: &Epochs, reps: usize) -> SolverSection {
         .solve(&ctx, e.cold_init.clone())
         .expect("cold replan");
     let target = cold_out.diagnostics.best_score;
-    let moves =
-        |d: &cast_solver::SolveDiagnostics| d.moves_to_reach(target).unwrap_or(d.iterations);
-    let (warm_moves, cold_moves) = (moves(&warm_out.diagnostics), moves(&cold_out.diagnostics));
+    let (warm_diag, cold_diag) = (&warm_out.diagnostics, &cold_out.diagnostics);
+    // A stall-stopped warm chain may end early, so its move count only
+    // means something if it actually got to the target.
+    let reached = warm_diag.moves_to_reach(target);
+    let cold_moves = cold_diag
+        .moves_to_reach(target)
+        .unwrap_or(cold_diag.iterations);
     eprintln!(
-        "replan to cold-converged quality {target:.4}: warm {warm_moves} moves \
-         (from {:.4}) vs cold {cold_moves} moves (from {:.4})",
-        warm_out.diagnostics.initial_score, cold_out.diagnostics.initial_score
+        "replan to cold-converged quality {target:.4}: warm {} (from {:.4}, stopped after \
+         {} moves) vs cold {cold_moves} moves (from {:.4})",
+        reached.map_or("never reached it".into(), |m| format!("{m} moves")),
+        warm_diag.initial_score,
+        warm_diag.iterations,
+        cold_diag.initial_score
     );
+    let warm_moves = reached.unwrap_or_else(|| {
+        panic!(
+            "warm resume stopped after {} moves without reaching the cold chain's {target}",
+            warm_diag.iterations
+        )
+    });
     assert!(
         warm_moves < cold_moves,
         "warm resume must reach incumbent-or-better in fewer moves \
@@ -212,6 +228,7 @@ fn bench_solver(e: &Epochs, reps: usize) -> SolverSection {
     }
     SolverSection {
         iterations: anneal_cfg().iterations,
+        warm_iterations: warm_out.diagnostics.iterations,
         warm_moves,
         cold_moves,
         cold_p50_secs: percentile(&cold_lat, 0.50),

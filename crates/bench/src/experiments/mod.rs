@@ -16,6 +16,7 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod online_drift;
+pub mod sim_scale;
 pub mod table1;
 pub mod table2;
 pub mod table4;

@@ -39,8 +39,8 @@ pub struct OnlineDriftConfig {
     pub jobs_per_hour: f64,
     /// Largest Table 4 map-count bin synthesised (caps job size).
     pub max_bin: usize,
-    /// Cold-start annealing iterations (warm replans use
-    /// [`WarmStart::default`]'s budget).
+    /// Cold-start annealing iterations, also the cap on warm replans
+    /// (which stop earlier on a stall, see [`WarmStart::default`]).
     pub iterations: usize,
     /// Independent annealing restarts per solve.
     pub restarts: usize,
@@ -68,7 +68,10 @@ impl OnlineDriftConfig {
             horizon: Duration::from_hours(2.0),
             jobs_per_hour: 24.0,
             max_bin: 3,
-            iterations: 800,
+            // Also caps the warm replans: with much less, they cannot
+            // refine the incumbent enough for periodic replanning to
+            // beat static serving on this stream.
+            iterations: 3_000,
             restarts: 2,
         }
     }

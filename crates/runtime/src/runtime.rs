@@ -355,7 +355,9 @@ mod tests {
                 migration_fault_prob: prob,
                 ..quick_cfg(ReplanPolicy::Periodic)
             };
-            OnlineRuntime::new(&est, quick_anneal(600), cfg)
+            // Warm replans are capped at the cold budget; 3000 moves
+            // schedule enough migrations for some to survive p = 0.9.
+            OnlineRuntime::new(&est, quick_anneal(3_000), cfg)
                 .run(&stream(7))
                 .unwrap()
         };

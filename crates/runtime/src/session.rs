@@ -24,6 +24,7 @@
 //! RuntimeConfig, stream, grant sequence)` — the determinism contract the
 //! solo runtime pins extends to any deterministic grant sequence.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -76,6 +77,18 @@ const WHATIF_HORIZON_FRACTION: f64 = 0.5;
 /// same decisions ([`cast_sim::par::run_indexed`]'s determinism
 /// contract), so this only trades replan latency for cores.
 const WHATIF_WORKERS: usize = 4;
+
+thread_local! {
+    /// Engine buffers shared by every epoch simulated on this thread, so
+    /// steady-state epochs run without reallocating the event heap, flow
+    /// tables or wake arena. One per thread rather than one per session:
+    /// a fleet's pool threads live for one phase, and thousands of
+    /// sessions would otherwise each keep their own buffers alive for the
+    /// whole run. Engine results never depend on scratch contents
+    /// (`scratch_runs_are_bit_identical_to_owned`), only its allocation
+    /// count does.
+    static EPOCH_SCRATCH: RefCell<EngineScratch> = RefCell::new(EngineScratch::default());
+}
 
 /// How a [`PlannedEpoch`]'s execution plan was obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -391,9 +404,6 @@ pub struct TenantSession<'a> {
     epochs: Vec<EpochReport>,
     // The last real solve, backing the replan-skip gates.
     plan_cache: Option<PlanCache>,
-    // Reusable engine buffers: steady-state epochs simulate without
-    // reallocating the event heap, flow tables or wake arena.
-    scratch: EngineScratch,
 }
 
 impl<'a> TenantSession<'a> {
@@ -422,7 +432,6 @@ impl<'a> TenantSession<'a> {
             deferrals: 0,
             epochs: Vec::new(),
             plan_cache: None,
-            scratch: EngineScratch::default(),
         }
     }
 
@@ -831,13 +840,15 @@ impl<'a> TenantSession<'a> {
             }
             decision.report
         } else {
-            let sim = Sim::builder(&scfg)
-                .jobs(&spec, &placements)
-                .migrations(&protocol.flows)
-                .collector(self.obs.clone())
-                .scratch(&mut self.scratch)
-                .build()?;
-            sim.run()?
+            EPOCH_SCRATCH.with_borrow_mut(|scratch| {
+                Sim::builder(&scfg)
+                    .jobs(&spec, &placements)
+                    .migrations(&protocol.flows)
+                    .collector(self.obs.clone())
+                    .scratch(scratch)
+                    .build()?
+                    .run()
+            })?
         };
         // Retry backoff is wall time the protocol serialized into the
         // epoch on top of the simulated flows.

@@ -1,7 +1,8 @@
 //! Property-based safety tests for the migration protocol: under
 //! copy→verify→retire no fault schedule — any rate, any seed, any
 //! attempt budget — may ever destroy a dataset. Rolled-back moves must
-//! park their readers on the incumbent placement instead.
+//! park their readers on the incumbent placement instead. Also pins that
+//! sessions sharing a thread's engine scratch cannot see each other.
 
 use proptest::prelude::*;
 
@@ -14,7 +15,8 @@ use cast_estimator::Estimator;
 use cast_obs::Collector;
 use cast_runtime::migrate::MigrationSchedule;
 use cast_runtime::{
-    execute_schedule, MigrationProtocol, OnlineRuntime, ReplanPolicy, RuntimeConfig,
+    execute_schedule, EpochReport, MigrationProtocol, OnlineRuntime, ReplanPolicy, RuntimeConfig,
+    TenantSession,
 };
 use cast_sim::runner::MigrationSpec;
 use cast_solver::AnnealConfig;
@@ -162,20 +164,68 @@ fn estimator(nvm: usize) -> Estimator {
 }
 
 fn stream(seed: u64) -> ArrivalStream {
+    stream_at(seed, 10.0, 4)
+}
+
+fn stream_at(seed: u64, jobs_per_hour: f64, max_bin: usize) -> ArrivalStream {
     cast_workload::arrival::generate(&ArrivalConfig {
         seed,
         horizon: Duration::from_mins(90.0),
-        process: ArrivalProcess::Poisson {
-            jobs_per_hour: 10.0,
-        },
+        process: ArrivalProcess::Poisson { jobs_per_hour },
         drift: DriftConfig {
             app_shift: 0.5,
             size_growth: 0.5,
         },
         workflow_fraction: 0.2,
-        max_bin: 4,
+        max_bin,
     })
     .unwrap()
+}
+
+/// Sessions simulate their epochs in one engine scratch per thread, so
+/// a tenant's epoch may run in buffers a larger, different tenant just
+/// grew. Its reports must be bit-identical to running alone on a fresh
+/// thread.
+#[test]
+fn epoch_reports_do_not_depend_on_the_thread_scratch_history() {
+    let est = estimator(4);
+    let anneal = AnnealConfig {
+        iterations: 300,
+        restarts: 1,
+        ..AnnealConfig::default()
+    };
+    let cfg = RuntimeConfig::default();
+    let (small, large) = (stream(11), stream_at(12, 60.0, 7));
+    // Serves every listed session one boundary at a time, in list order,
+    // on the calling thread.
+    let serve = |streams: &[&ArrivalStream]| -> Vec<Vec<EpochReport>> {
+        let mut sessions: Vec<TenantSession> = streams
+            .iter()
+            .map(|s| TenantSession::new(&est, anneal, cfg, (*s).clone()))
+            .collect();
+        for k in 0..sessions[0].epoch_count() {
+            for s in &mut sessions {
+                if let Some(planned) = s.plan_epoch(k).unwrap() {
+                    s.execute_epoch(planned, 1.0).unwrap();
+                }
+            }
+        }
+        sessions.into_iter().map(|s| s.finish().epochs).collect()
+    };
+    let on_fresh_thread = |streams: &[&ArrivalStream]| {
+        std::thread::scope(|scope| scope.spawn(|| serve(streams)).join().unwrap())
+    };
+    let alone = on_fresh_thread(&[&small]).remove(0);
+    let shared = on_fresh_thread(&[&large, &small]);
+    let jobs = |r: &[EpochReport]| r.iter().map(|e| e.jobs).sum::<usize>();
+    assert!(jobs(&alone) > 0, "the small tenant must execute epochs");
+    assert!(
+        jobs(&shared[0]) > 2 * jobs(&alone),
+        "the tenant sharing the scratch must be the larger one"
+    );
+    // Debug renders every f64 in shortest round-trip form, so equal
+    // strings mean equal bits.
+    assert_eq!(format!("{alone:?}"), format!("{:?}", shared[1]));
 }
 
 proptest! {

@@ -22,7 +22,12 @@
 //!   machine's parallelism instead of one thread per restart), each
 //!   seeded deterministically from its restart index; the winner is
 //!   chosen by `(score, seed)` so the result is machine-independent and
-//!   identical to running the chains one by one.
+//!   identical to running the chains one by one;
+//! * a warm re-solve ([`Annealer::resume_from`]) stops each chain once
+//!   it stalls (a run of non-improving moves proportional to the spec's
+//!   job count), capped at the base budget. The rule reads only the
+//!   trajectory, so a stopped chain is an exact prefix of the capped
+//!   one.
 
 use cast_obs::{Collector, EventBody};
 use cast_sim::par;
@@ -73,24 +78,30 @@ impl Default for AnnealConfig {
 ///
 /// An online replan starts from a near-optimal incumbent, so it neither
 /// needs nor wants the full cold-start schedule: a high initial
-/// temperature would walk away from the incumbent before re-converging,
-/// and a full iteration budget wastes replan latency. A `WarmStart`
-/// scales both down.
+/// temperature would walk away from the incumbent before re-converging.
+/// A warm chain therefore resumes cooler (`temp_frac`) and stops as soon
+/// as it stalls: after `patience × jobs` consecutive moves that do not
+/// improve its best, or after the base config's `iterations`, whichever
+/// comes first. A warm re-solve never outspends a cold one.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WarmStart {
     /// Fraction of the base config's `temp_init` to resume at, in
     /// `(0, 1]`. Low values keep the chain near the incumbent; 1.0
     /// reproduces a cold start's schedule.
     pub temp_frac: f64,
-    /// Iteration budget for the resumed solve (per restart).
-    pub iterations: usize,
+    /// Stall window per job of the spec: a chain stops after `patience`
+    /// times the spec's job count consecutive moves that do not improve
+    /// its best (per restart). Larger specs have more jobs to revisit
+    /// before a stall means anything. `0` returns the incumbent without
+    /// a move.
+    pub patience: usize,
 }
 
 impl Default for WarmStart {
     fn default() -> Self {
         WarmStart {
             temp_frac: 0.25,
-            iterations: 3_000,
+            patience: 80,
         }
     }
 }
@@ -204,6 +215,18 @@ impl Annealer {
         ctx: &EvalContext<'_>,
         init: TieringPlan,
     ) -> Result<AnnealOutcome, SolverError> {
+        // A cold chain never stalls out: it spends its whole budget.
+        self.anneal(ctx, init, usize::MAX)
+    }
+
+    /// [`Annealer::solve`] with a stall limit: each chain stops after
+    /// `stall_limit` consecutive non-improving moves.
+    fn anneal(
+        &self,
+        ctx: &EvalContext<'_>,
+        init: TieringPlan,
+        stall_limit: usize,
+    ) -> Result<AnnealOutcome, SolverError> {
         let groups = if ctx.reuse_aware {
             ctx.spec
                 .reuse_groups()
@@ -223,7 +246,8 @@ impl Annealer {
         // worker count (cast_sim::par's determinism contract).
         let mut chains: Vec<Result<ChainResult<Vec<Assignment>>, SolverError>> =
             par::run_indexed(par::default_workers(), restarts, |r| {
-                self.chain_incremental(ctx, &init, &gen, r, restart_seed(self.cfg.seed, r))
+                let seed = restart_seed(self.cfg.seed, r);
+                self.chain_incremental(ctx, &init, &gen, stall_limit, r, seed)
             });
         self.observe_chains(&mut chains, t0.elapsed().as_secs_f64());
         let winner = pick_best(chains)?;
@@ -240,12 +264,17 @@ impl Annealer {
     /// replan path).
     ///
     /// Identical to [`Annealer::solve`] except the schedule: the chain
-    /// resumes at `temp_init × warm.temp_frac` and runs `warm.iterations`
-    /// moves per restart. Because every chain's best-so-far starts at the
-    /// incumbent, the outcome can never score below it — warm starts are
-    /// monotone. The incumbent must assign every job in `ctx.spec` (jobs
-    /// it does not cover would poison scoring; extend the plan before
-    /// resuming).
+    /// resumes at `temp_init × warm.temp_frac` and stops after
+    /// `warm.patience × jobs` consecutive moves that do not improve its
+    /// best, or after the base `iterations`, whichever comes first. The stop
+    /// rule reads only the trajectory, and cooling is applied per move,
+    /// so a stopped chain is an exact prefix of the same chain run to the
+    /// cap: same seed, same plan, same score bits as a fixed budget of
+    /// exactly the moves it made. Because every chain's best-so-far
+    /// starts at the incumbent, the outcome can never score below it —
+    /// warm starts are monotone. The incumbent must assign every job in
+    /// `ctx.spec` (jobs it does not cover would poison scoring; extend
+    /// the plan before resuming).
     pub fn resume_from(
         &self,
         ctx: &EvalContext<'_>,
@@ -255,22 +284,24 @@ impl Annealer {
         let scaled = Annealer {
             cfg: AnnealConfig {
                 temp_init: self.cfg.temp_init * warm.temp_frac.clamp(f64::MIN_POSITIVE, 1.0),
-                iterations: warm.iterations,
                 ..self.cfg
             },
             obs: self.obs.clone(),
         };
-        scaled.solve(ctx, incumbent)
+        let stall_limit = warm.patience.saturating_mul(ctx.spec.jobs.len());
+        scaled.anneal(ctx, incumbent, stall_limit)
     }
 
     /// One annealing chain over [`IncrementalEval`] state. Mirrors
     /// [`Annealer::chain_plan`] decision for decision; only the scoring
-    /// substrate differs.
+    /// substrate differs. The chain stops early once `stall_limit`
+    /// consecutive moves have not improved its best.
     fn chain_incremental(
         &self,
         ctx: &EvalContext<'_>,
         init: &TieringPlan,
         gen: &NeighborGen,
+        stall_limit: usize,
         restart: usize,
         seed: u64,
     ) -> Result<ChainResult<Vec<Assignment>>, SolverError> {
@@ -293,8 +324,12 @@ impl Annealer {
         let mut temp = self.cfg.temp_init;
         let mut moves: Vec<(usize, Assignment)> = Vec::new();
         let mut undo: Vec<(usize, Assignment)> = Vec::new();
+        let mut stalled = 0usize;
 
         for iter in 0..self.cfg.iterations {
+            if stalled >= stall_limit {
+                break;
+            }
             temp = self.cfg.cooling.step(temp);
             let current = state.assignments();
             gen.propose(|p| Some(current[p]), &mut rng, None, &mut moves);
@@ -313,6 +348,9 @@ impl Annealer {
                 best.copy_from_slice(state.assignments());
                 best_score = n_score;
                 diag.improvements += 1;
+                stalled = 0;
+            } else {
+                stalled += 1;
             }
             let accepted = metropolis(n_score, current_score, scale, temp, &mut rng, &mut diag);
             if accepted {
@@ -820,7 +858,7 @@ mod tests {
                 cold.plan.clone(),
                 WarmStart {
                     temp_frac: 0.2,
-                    iterations: 200,
+                    patience: 3,
                 },
             )
             .unwrap();
@@ -845,13 +883,8 @@ mod tests {
         let warm = Annealer::new(quick_cfg(12))
             .resume_from(&ctx, incumbent.plan, WarmStart::default())
             .unwrap();
-        let cold = Annealer::new(AnnealConfig {
-            iterations: WarmStart::default().iterations,
-            seed: 12,
-            ..AnnealConfig::default()
-        })
-        .solve(&ctx, init)
-        .unwrap();
+        // The cold chain gets the whole budget the warm chain is capped at.
+        let cold = Annealer::new(quick_cfg(12)).solve(&ctx, init).unwrap();
         let warm_moves = warm.diagnostics.moves_to_reach(target).unwrap();
         assert_eq!(warm_moves, 0, "warm chain starts at the incumbent score");
         let cold_moves = cold
@@ -879,6 +912,138 @@ mod tests {
             .unwrap();
         assert_eq!(a.plan, b.plan);
         assert_eq!(a.eval.utility.to_bits(), b.eval.utility.to_bits());
+    }
+
+    /// Move index of a chain's last improvement (`None` when it never
+    /// improved), read off a stride-1 best-score trace.
+    fn last_improvement(d: &SolveDiagnostics) -> Option<usize> {
+        assert_eq!(d.trace_stride, 1, "needs a per-move trace");
+        let mut prev = d.initial_score;
+        let mut last = None;
+        for (i, &best) in d.trace.iter().enumerate() {
+            if best > prev {
+                last = Some(i);
+            }
+            prev = best;
+        }
+        last
+    }
+
+    #[test]
+    fn warm_chain_stops_exactly_patience_times_jobs_moves_after_its_last_improvement() {
+        let spec = synth::prediction_workload();
+        let est = toy_estimator(25);
+        let ctx = EvalContext::new(&est, &spec);
+        let incumbent = TieringPlan::uniform(&spec, Tier::ObjStore);
+        // Below 200 iterations the trace samples every move.
+        let cap = 150;
+        let patience = 1;
+        let window = patience * spec.jobs.len();
+        let mut stopped_early = 0;
+        for seed in 0..8 {
+            let cfg = AnnealConfig {
+                iterations: cap,
+                seed,
+                ..AnnealConfig::default()
+            };
+            let warm = WarmStart {
+                temp_frac: 0.25,
+                patience,
+            };
+            let d = Annealer::new(cfg)
+                .resume_from(&ctx, incumbent.clone(), warm)
+                .unwrap()
+                .diagnostics;
+            let moves_before_stall = last_improvement(&d).map_or(0, |i| i + 1);
+            if d.iterations < cap {
+                stopped_early += 1;
+                assert_eq!(
+                    d.iterations,
+                    moves_before_stall + window,
+                    "seed {seed}: the chain must stop exactly {window} moves after its last improvement"
+                );
+            } else {
+                assert!(
+                    cap - moves_before_stall < window,
+                    "seed {seed}: a chain that stalled {window} moves ran on to the cap"
+                );
+            }
+        }
+        assert!(stopped_early > 0, "no seed exercised the stop rule");
+    }
+
+    #[test]
+    fn stopped_warm_chain_equals_a_fixed_budget_of_its_length() {
+        let spec = synth::prediction_workload();
+        let est = toy_estimator(25);
+        let ctx = EvalContext::new(&est, &spec);
+        let incumbent = TieringPlan::uniform(&spec, Tier::PersHdd);
+        for seed in [3, 4, 5] {
+            let warm = WarmStart {
+                temp_frac: 0.25,
+                patience: 3,
+            };
+            let stopped = Annealer::new(quick_cfg(seed))
+                .resume_from(&ctx, incumbent.clone(), warm)
+                .unwrap();
+            let n = stopped.diagnostics.iterations;
+            assert!(n < quick_cfg(seed).iterations, "seed {seed} never stalled");
+            let fixed = Annealer::new(AnnealConfig {
+                iterations: n,
+                ..quick_cfg(seed)
+            })
+            .resume_from(
+                &ctx,
+                incumbent.clone(),
+                WarmStart {
+                    patience: usize::MAX,
+                    ..warm
+                },
+            )
+            .unwrap();
+            let (a, b) = (&stopped.diagnostics, &fixed.diagnostics);
+            assert_eq!(stopped.plan, fixed.plan, "seed {seed}");
+            assert_eq!(stopped.eval.utility.to_bits(), fixed.eval.utility.to_bits());
+            assert_eq!(a.best_score.to_bits(), b.best_score.to_bits());
+            assert_eq!(
+                (a.iterations, a.accepted, a.uphill_accepted, a.improvements),
+                (b.iterations, b.accepted, b.uphill_accepted, b.improvements),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn warm_chain_never_exceeds_the_base_iterations() {
+        let spec = synth::prediction_workload();
+        let est = toy_estimator(25);
+        let ctx = EvalContext::new(&est, &spec);
+        let incumbent = TieringPlan::uniform(&spec, Tier::ObjStore);
+        let cfg = AnnealConfig {
+            restarts: 2,
+            ..quick_cfg(8)
+        };
+        for patience in [0, 1, 50, usize::MAX] {
+            let out = Annealer::new(cfg)
+                .resume_from(
+                    &ctx,
+                    incumbent.clone(),
+                    WarmStart {
+                        temp_frac: 1.0,
+                        patience,
+                    },
+                )
+                .unwrap();
+            let d = &out.diagnostics;
+            assert!(d.iterations <= cfg.iterations, "patience {patience}");
+            if patience.saturating_mul(spec.jobs.len()) >= cfg.iterations {
+                assert_eq!(d.iterations, cfg.iterations, "patience {patience}");
+            }
+            if patience == 0 {
+                assert_eq!(d.iterations, 0);
+                assert_eq!(out.plan, incumbent, "no move keeps the incumbent");
+            }
+        }
     }
 
     #[test]
